@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainRequiredError
-from .evaluate import conjugate, evaluate
+from .evaluate import _resolve_domain, conjugate, evaluate
 from .skew import SkewPolynomial
 
 
@@ -72,19 +71,6 @@ def is_p_independent(ctx, elements) -> bool:
     return True
 
 
-def _resolve_domain(ctx, domain):
-    if domain is not None:
-        out = []
-        for a in domain:
-            if not any(a == b for b in out):
-                out.append(a)
-        return out
-    if ctx.finite:
-        return list(ctx.elements())
-    raise DomainRequiredError(
-        f"closure over {ctx.name} needs an explicit domain")
-
-
 def closure(ctx, elements, domain=None):
     """All domain elements P-dependent on the set, sorted canonically.
 
@@ -93,7 +79,7 @@ def closure(ctx, elements, domain=None):
     """
     elems = _check_distinct(ctx, elements)
     f = minimal_polynomial(ctx, elems).poly
-    found = [a for a in _resolve_domain(ctx, domain)
+    found = [a for a in _resolve_domain(ctx, domain, "closure")
              if ctx.is_zero(evaluate(f, a))]
     for a in elems:
         if not any(a == b for b in found):

@@ -17,6 +17,7 @@ import argparse
 import json
 import shlex
 import sys
+from dataclasses import asdict
 
 from . import algsets, lattices, metro, wedderburn
 from .errors import (CapabilityMissingError, ClassMembershipError,
@@ -324,18 +325,13 @@ def _cmd_gcd(args, want):
     return _emit(args, ctx, inputs, result, [f"llcm = {res.llcm}"])
 
 
-def _full_node_text(ctx, node):
-    return _set_text(ctx, node)
-
-
 def _cmd_lattice(args):
     ctx = build_context(args)
     fl = lattices.build_full_lattice(ctx)
     wl = lattices.build_w_lattice(ctx)
     inputs = {"action": args.action}
     if args.action == "build":
-        full_edges = [(_full_node_text(ctx, fl.nodes[i]),
-                       _full_node_text(ctx, fl.nodes[j]))
+        full_edges = [(_set_text(ctx, fl.nodes[i]), _set_text(ctx, fl.nodes[j]))
                       for i, j in lattices.hasse_edges(fl)]
         w_edges = [(str(wl.nodes[i]), str(wl.nodes[j]))
                    for i, j in lattices.hasse_edges(wl)]
@@ -352,25 +348,9 @@ def _cmd_lattice(args):
     report = lattices.duality_check(fl, wl)
     triples, violations = lattices.modular_law_sweep(ctx)
     ok = report.ok and violations == 0
-    fields = {
-        "nodes": report.n_nodes,
-        "bijection": report.bijection,
-        "inverses": report.inverses,
-        "order_reversing": report.order_reversing,
-        "rank_dimension_law": report.rank_dimension_law,
-        "degree_dimension_law": report.degree_dimension_law,
-        "rank_equals_degree": report.rank_equals_degree,
-        "cover_steps": report.cover_steps,
-        "atoms_are_singletons": report.atoms_are_singletons,
-        "maximal_are_linear": report.maximal_are_linear,
-        "bounds_as_stated": report.bounds_as_stated,
-        "modular_full": report.modular_full,
-        "modular_w": report.modular_w,
-        "intervals_checked": report.intervals_checked,
-        "intervals_match": report.intervals_match,
-        "dependence_triples": triples,
-        "dependence_violations": violations,
-    }
+    fields = {("nodes" if k == "n_nodes" else k): v
+              for k, v in asdict(report).items()}
+    fields.update(dependence_triples=triples, dependence_violations=violations)
     result = dict(fields, ok=ok)
     lines = [f"{k}: {str(v).lower() if isinstance(v, bool) else v}"
              for k, v in fields.items()]

@@ -84,6 +84,8 @@ def is_left_root(f, b):
 
 
 def _resolve_domain(ctx, domain, what):
+    """The distinct elements of an explicit domain, else the whole ring when
+    it is finite; ``what`` names the operation in the error otherwise."""
     if domain is not None:
         seen = []
         for a in domain:
@@ -158,13 +160,7 @@ def lambda_matrix(ctx, f, a):
     For x != 0, Lambda_i(x) = N_i(a^x)*x, so the kernel is the exponential
     space E(f, a) = {0} u {x : f(a^x) = 0}.
     """
-    dim = ctx.base_dim
-    cols = []
-    base = ctx.base
-    for m in range(dim):
-        unit = [base.zero] * dim
-        unit[m] = base.one
-        x = ctx.from_vec(unit)
+    def image(x):
         lam = x
         acc = ctx.zero
         for i, b in enumerate(f.coeffs):
@@ -172,20 +168,11 @@ def lambda_matrix(ctx, f, a):
                 lam = ctx.S(lam) * a + ctx.D(lam)
             if not ctx.is_zero(b):
                 acc = acc + b * lam
-        cols.append(ctx.to_vec(acc))
-    return [[cols[m][r] for m in range(dim)] for r in range(dim)]
+        return acc
+    return ctx.base_matrix(image)
 
 
 def stabilizer_matrix(ctx, a):
     """Base-field matrix of c -> S(c)*a + D(c) - a*c, whose kernel together
     with zero is the (S,D)-centralizer of a."""
-    dim = ctx.base_dim
-    cols = []
-    base = ctx.base
-    for m in range(dim):
-        unit = [base.zero] * dim
-        unit[m] = base.one
-        c = ctx.from_vec(unit)
-        img = ctx.S(c) * a + ctx.D(c) - a * c
-        cols.append(ctx.to_vec(img))
-    return [[cols[m][r] for m in range(dim)] for r in range(dim)]
+    return ctx.base_matrix(lambda c: ctx.S(c) * a + ctx.D(c) - a * c)

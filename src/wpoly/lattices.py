@@ -16,23 +16,7 @@ import numpy as np
 from .algsets import closure, is_full, is_p_dependent, minimal_polynomial, rank
 from .errors import CapabilityMissingError, NotFullError
 from .evaluate import right_roots
-from .skew import SkewPolynomial, monic_polynomials, rgcd_llcm
-
-
-class Marker:
-    """Sentinel node standing in for an adjoined lattice bound."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label):
-        self.label = label
-
-    def __repr__(self):
-        return f"<{self.label}>"
-
-
-ADJOINED_TOP = Marker("adjoined top")
-ADJOINED_BOTTOM = Marker("adjoined bottom")
+from .skew import SkewPolynomial, monic_right_divisors, rgcd_llcm
 
 
 class FiniteLattice:
@@ -44,16 +28,13 @@ class FiniteLattice:
     defect, not an input error, so it raises AssertionError.
     """
 
-    def __init__(self, kind, ctx, nodes, leq, meet, join,
-                 adjoined_top=False, adjoined_bottom=False):
+    def __init__(self, kind, ctx, nodes, leq, meet, join):
         self.kind = kind
         self.ctx = ctx
         self.nodes = tuple(nodes)
         self.leq = leq
         self.meet = meet
         self.join = join
-        self.adjoined_top = adjoined_top
-        self.adjoined_bottom = adjoined_bottom
         self._index = {node: i for i, node in enumerate(self.nodes)}
         self._verify()
 
@@ -65,8 +46,7 @@ class FiniteLattice:
         return self._index[node]
 
     @classmethod
-    def from_functions(cls, kind, ctx, nodes, leq_fn, meet_fn, join_fn,
-                       **flags):
+    def from_functions(cls, kind, ctx, nodes, leq_fn, meet_fn, join_fn):
         nodes = tuple(nodes)
         n = len(nodes)
         index = {node: i for i, node in enumerate(nodes)}
@@ -85,7 +65,7 @@ class FiniteLattice:
                         "meet or join left the node set, the lattice is not closed")
                 meet[i, j] = meet[j, i] = index[m]
                 join[i, j] = join[j, i] = index[v]
-        return cls(kind, ctx, nodes, leq, meet, join, **flags)
+        return cls(kind, ctx, nodes, leq, meet, join)
 
     def _verify(self):
         leq = self.leq
@@ -158,56 +138,6 @@ class FiniteLattice:
 def hasse_edges(lattice: FiniteLattice):
     """Covering pairs (lower index, upper index) for diagram emission."""
     return [(int(i), int(j)) for i, j in np.argwhere(lattice.covers())]
-
-
-def augment(lattice: FiniteLattice, add_top=False, add_bottom=False):
-    """Adjoin explicit bound markers.
-
-    Over a finite ring the natural lattices are already bounded, so this is
-    exercised only as a data-structure operation; the markers compare as
-    plain extra nodes above or below everything.
-    """
-    nodes = list(lattice.nodes)
-    n0 = lattice.n
-    extra = []
-    if add_bottom:
-        extra.append(ADJOINED_BOTTOM)
-    if add_top:
-        extra.append(ADJOINED_TOP)
-    if not extra:
-        return lattice
-    n = n0 + len(extra)
-    leq = np.zeros((n, n), dtype=bool)
-    leq[:n0, :n0] = lattice.leq
-    np.fill_diagonal(leq, True)
-    idx = n0
-    bot = top = None
-    if add_bottom:
-        bot = idx
-        idx += 1
-    if add_top:
-        top = idx
-    if bot is not None:
-        leq[bot, :] = True
-    if top is not None:
-        leq[:, top] = True
-    meet = np.zeros((n, n), dtype=np.int16)
-    join = np.zeros((n, n), dtype=np.int16)
-    meet[:n0, :n0] = lattice.meet
-    join[:n0, :n0] = lattice.join
-    for x in range(n):
-        if bot is not None:
-            meet[bot, x] = meet[x, bot] = bot
-            join[bot, x] = join[x, bot] = x
-        if top is not None:
-            meet[top, x] = meet[x, top] = x
-            join[top, x] = join[x, top] = top
-    if bot is not None and top is not None:
-        join[bot, top] = join[top, bot] = top
-        meet[bot, top] = meet[top, bot] = bot
-    return FiniteLattice(lattice.kind, lattice.ctx,
-                         nodes + extra, leq, meet, join,
-                         adjoined_top=add_top, adjoined_bottom=add_bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +215,6 @@ def build_w_lattice(ctx) -> FiniteLattice:
 
 # ---------------------------------------------------------------------------
 # duality verification
-
-def _monic_right_divisors_by_degree(f):
-    """All monic right divisors of f, grouped by degree.
-
-    Degrees past the halfway point are enumerated through the monic left
-    cofactor instead (a degree-d divisor pairs with a degree (n-d) cofactor),
-    which keeps the candidate count at q^min(d, n-d).
-    """
-    ctx = f.ctx
-    n = f.degree
-    out = {d: [] for d in range(n + 1)}
-    for d in range(n + 1):
-        if d <= n - d:
-            for p in monic_polynomials(ctx, d):
-                if f.right_divmod(p)[1].is_zero():
-                    out[d].append(p)
-        else:
-            for p in monic_polynomials(ctx, n - d):
-                res = f.left_divmod(p)
-                if res is not None and res[1].is_zero():
-                    out[d].append(res[0])
-    return out
-
 
 @dataclass(frozen=True)
 class DualityReport:
@@ -416,7 +323,8 @@ def duality_check(fl: FiniteLattice, wl: FiniteLattice) -> DualityReport:
         for j in np.nonzero(wl.leq[i])[0]:
             h = wl.nodes[j]
             if i not in divisors:
-                divisors[i] = _monic_right_divisors_by_degree(f)
+                divisors[i] = [monic_right_divisors(f, d)
+                               for d in range(f.degree + 1)]
             enumerated = {
                 g
                 for d in range(h.degree, f.degree + 1)

@@ -90,14 +90,7 @@ def _solve_enumerate(problem) -> MetroSolutionReport:
 def _solve_base_linear(problem) -> MetroSolutionReport:
     ctx = problem.ctx
     base = ctx.base
-    dim = ctx.base_dim
-    units = []
-    for m in range(dim):
-        vec = [base.zero] * dim
-        vec[m] = base.one
-        units.append(ctx.from_vec(vec))
-    cols = [list(ctx.to_vec(problem.residual(e))) for e in units]
-    rows = [[cols[m][r] for m in range(dim)] for r in range(dim)]
+    rows = ctx.base_matrix(problem.residual)
     rhs = list(ctx.to_vec(problem.c))
     sol = linalg.solve(rows, rhs, base)
     if sol is None:

@@ -10,7 +10,7 @@ Leibniz rule D(a*b) = S(a)*D(b) + D(a)*b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd as _igcd
 
 from .errors import CapabilityMissingError, ContextMismatchError
@@ -305,16 +305,6 @@ class RatFunc:
         """r(x) -> r(-x)."""
         return RatFunc(qp_neg_x(self.num), qp_neg_x(self.den), self.var)
 
-    def size(self):
-        """max(deg num, deg den); a crude height used for search bounds."""
-        return max(len(self.num) - 1, len(self.den) - 1, 0)
-
-    def as_fraction(self):
-        """The constant value, or None if non-constant."""
-        if len(self.num) <= 1 and self.den == (_F1,):
-            return self.num[0] if self.num else _F0
-        return None
-
     def __str__(self):
         if not self.num:
             return "0"
@@ -405,10 +395,7 @@ class _GFField:
                 raise ValueError("modulus is not irreducible")
         self.inv = inv
 
-        frob = [a for a in range(q)]
-        for _ in range(1):
-            frob = [self._pow_int(a, p, mul) for a in range(q)]
-        self.frob1 = frob  # a -> a^p
+        self.frob1 = [self._pow_int(a, p, mul) for a in range(q)]  # a -> a^p
 
         self.elems = [FFElement(self, code) for code in range(q)]
 
@@ -671,7 +658,10 @@ class DivisionRingContext:
         self.s_desc = s_desc
         self.d_desc = d_desc
         self._validate()
-        if d_desc[0] != "zero":
+        if d_desc[0] == "inner" and self.commutative and self.s_is_identity:
+            # d*a - S(a)*d = d*a - a*d vanishes identically
+            self.d_desc = ("zero",)
+        if self.d_desc[0] != "zero":
             self._check_sd_samples()
 
     # -- identity -----------------------------------------------------------
@@ -731,6 +721,10 @@ class DivisionRingContext:
     def s_is_automorphism(self):
         return self.s_desc[0] in ("id", "frob")
 
+    @property
+    def s_is_identity(self):
+        return self.s_desc[0] == "id"
+
     def S(self, a):
         if self.s_desc[0] == "id":
             return a
@@ -771,6 +765,19 @@ class DivisionRingContext:
 
     def from_vec(self, vec):
         raise CapabilityMissingError(f"{self.name} has no finite central base dimension")
+
+    def base_units(self):
+        """The elements whose base-field coordinates are the unit vectors."""
+        zero, one = self.base.zero, self.base.one
+        return [self.from_vec([one if i == m else zero
+                               for i in range(self.base_dim)])
+                for m in range(self.base_dim)]
+
+    def base_matrix(self, fn):
+        """Base-field matrix of an additive map fn: K -> K; column m holds
+        the coordinates of fn(e_m)."""
+        cols = [self.to_vec(fn(e)) for e in self.base_units()]
+        return [list(row) for row in zip(*cols)]
 
     # -- construction-time sanity -----------------------------------------------
     def _sample_elements(self):
@@ -888,6 +895,10 @@ class FiniteFieldContext(DivisionRingContext):
     def random_element(self, rng, nonzero=False):
         lo = 1 if nonzero else 0
         return self.field.elems[rng.randint(lo, self.field.q - 1)]
+
+    @property
+    def s_is_identity(self):
+        return self.s_desc[1] % self.k == 0
 
     def _apply_s(self, a):
         return self.field.elems[self.field.frob_power(a.code, self.s_desc[1])]
@@ -1038,21 +1049,19 @@ class QuaternionContext(DivisionRingContext):
 # ---------------------------------------------------------------------------
 
 _RING_BUILDERS = {
-    "Q": lambda: RationalContext,
-    "F4": lambda: FiniteFieldContext.F4,
-    "F8": lambda: FiniteFieldContext.F8,
-    "Qx": lambda: (lambda s_desc=("xsq",), d_desc=("zero",):
-                   RatFuncContext("x", s_desc, d_desc)),
-    "Qu": lambda: (lambda s_desc=("id",), d_desc=("ddx",):
-                   RatFuncContext("u", s_desc, d_desc)),
-    "HQ": lambda: QuaternionContext,
+    "Q": RationalContext,
+    "F4": FiniteFieldContext.F4,
+    "F8": FiniteFieldContext.F8,
+    "Qx": partial(RatFuncContext, "x", s_desc=("xsq",)),
+    "Qu": partial(RatFuncContext, "u", d_desc=("ddx",)),
+    "HQ": QuaternionContext,
 }
 
 
 def make_context(ring, s_desc=None, d_desc=None):
     """Build a context from a short ring tag and optional (S, D) descriptors."""
     try:
-        builder = _RING_BUILDERS[ring]()
+        builder = _RING_BUILDERS[ring]
     except KeyError:
         raise ValueError(f"unknown ring tag {ring!r}") from None
     kwargs = {}

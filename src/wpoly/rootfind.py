@@ -3,8 +3,8 @@
 Three independent machines live here: the rational-root theorem over Q,
 bivariate factorization for untwisted rational-function rings, a Riccati
 solver for quadratics twisted by d/dx, and the quaternion class machinery
-(norm polynomial, candidate central factors located numerically and then
-verified by exact division, class representatives from sum-of-squares
+(norm polynomial, its central factors of degree <= 2 from exact
+factorization over Z, class representatives from sum-of-squares
 decompositions).
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-import mpmath
 import sympy
 from sympy.solvers.diophantine.diophantine import sum_of_squares
 from sympy.solvers.ode.riccati import solve_riccati
@@ -22,10 +21,7 @@ from .rings import (
     Quaternion,
     RatFunc,
     _qp_to_int,
-    qp_deriv,
-    qp_divmod,
     qp_eval,
-    qp_gcd,
     qp_trim,
 )
 from .skew import SkewPolynomial
@@ -191,63 +187,26 @@ def norm_polynomial(f):
     return tuple(out)
 
 
-def _monic_integer_model(coeffs):
-    """Scale the primitive integer form of a Fraction polynomial to a monic
-    integer polynomial via s = L*t; returns (ascending ints, L)."""
-    ints = _qp_to_int(coeffs)
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    lead = ints[-1]
-    n = len(ints) - 1
-    return [v * lead**(n - 1 - i) for i, v in enumerate(ints)], lead
-
-
 def central_factor_candidates(ncoeffs):
     """Monic rational factors of degree <= 2 of a rational polynomial.
 
-    Numeric roots of the monic integer model propose integer data (real
-    roots; paired complex trace/norm); every proposal is verified by exact
-    division of the squarefree part, so the numerics can only cause a miss,
-    which escalating precision rules out for the sizes handled here.
-    Returns ('lin', r) and ('quad', p, q) tags, sorted.
+    The primitive integer form is factored exactly over Z; by Gauss's lemma
+    its irreducible factors are, up to their leading coefficients, the
+    monic irreducible factors over Q.  Returns ('lin', r) for t - r and
+    ('quad', p, q) for t^2 - p*t + q, sorted.
     """
     nc = qp_trim(ncoeffs)
     if len(nc) <= 1:
         return []
-    sf = qp_divmod(nc, qp_gcd(nc, qp_deriv(nc)))[0]
-    mon, lead = _monic_integer_model(sf)
-    deg = len(mon) - 1
-    if deg == 0:
-        return []
+    _, factors = sympy.Poly(_qp_to_int(nc)[::-1], sympy.Symbol("t"),
+                            domain="ZZ").factor_list()
     found = []
-    def verify(cand):
-        if cand in found:
-            return
-        tag = cand[0]
-        if tag == "lin":
-            div = (-cand[1], Fraction(1))
-        else:
-            div = (cand[2], -cand[1], Fraction(1))
-        if not qp_divmod(sf, div)[1]:
-            found.append(cand)
-    for dps in (40, 100, 200):
-        with mpmath.workdps(dps):
-            try:
-                zeros = mpmath.polyroots([mpmath.mpf(c) for c in reversed(mon)],
-                                         maxsteps=200, extraprec=200)
-            except mpmath.libmp.libhyper.NoConvergence:
-                continue
-            for z in zeros:
-                re, im = mpmath.mpf(z.real), mpmath.mpf(abs(z.imag))
-                if im < mpmath.mpf("1e-10") * (1 + abs(re)):
-                    r = int(mpmath.nint(re))
-                    verify(("lin", Fraction(r, lead)))
-                else:
-                    ptr = int(mpmath.nint(2 * re))
-                    nrm = int(mpmath.nint(re * re + im * im))
-                    verify(("quad", Fraction(ptr, lead), Fraction(nrm, lead**2)))
-        if found:
-            break
+    for fac, _mult in factors:
+        c = [Fraction(int(v)) for v in reversed(fac.all_coeffs())]
+        if len(c) == 2:
+            found.append(("lin", -c[0] / c[1]))
+        elif len(c) == 3:
+            found.append(("quad", -c[1] / c[2], c[0] / c[2]))
     found.sort(key=lambda c: (len(c),) + tuple(c[1:]))
     return found
 

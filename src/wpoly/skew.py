@@ -258,14 +258,6 @@ def rgcd_llcm(f, g):
                         u0.scale_left(c), v0.scale_left(c))
 
 
-def rgcd(f, g):
-    return rgcd_llcm(f, g).rgcd
-
-
-def llcm(f, g):
-    return rgcd_llcm(f, g).llcm
-
-
 def monic_polynomials(ctx, degree):
     """All monic polynomials of the exact degree, in lexicographic
     coefficient order; finite contexts only."""
@@ -277,3 +269,23 @@ def monic_polynomials(ctx, degree):
         return
     for lower in itertools.product(elems, repeat=degree):
         yield SkewPolynomial(ctx, lower + (ctx.one,))
+
+
+def monic_right_divisors(f, degree):
+    """All monic right divisors of the given degree of a monic f; finite
+    contexts only.
+
+    Past the halfway degree the divisors are read off their monic left
+    cofactors (a degree-d divisor pairs with a degree n-d cofactor), which
+    keeps the candidate count at q^min(d, n-d).
+    """
+    n = f.degree
+    if degree <= n - degree:
+        return [p for p in monic_polynomials(f.ctx, degree)
+                if f.right_divmod(p)[1].is_zero()]
+    out = []
+    for p in monic_polynomials(f.ctx, n - degree):
+        res = f.left_divmod(p)
+        if res is not None and res[1].is_zero():
+            out.append(res[0])
+    return out

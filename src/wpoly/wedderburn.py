@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algsets import (
-    _resolve_domain,
-    is_p_independent,
-    minimal_polynomial,
-    rank,
-)
+from .algsets import is_p_independent, minimal_polynomial, rank
 from .errors import (
     CapabilityMissingError,
     DisjointnessError,
@@ -27,11 +22,14 @@ from .errors import (
     NotSplitError,
 )
 from .evaluate import (
+    _resolve_domain,
     conjugate,
     evaluate,
     lambda_matrix,
+    left_roots,
     phi_transform,
     power_functions,
+    right_roots,
     stabilizer_matrix,
 )
 from .rings import RationalContext
@@ -41,7 +39,7 @@ from .rootfind import (
     ratfunc_classical_roots,
     rational_poly_roots,
 )
-from .skew import SkewPolynomial, monic_polynomials, product_of_linears
+from .skew import SkewPolynomial, monic_right_divisors, product_of_linears
 
 IS_W = "IS_W"
 NOT_W = "NOT_W"
@@ -170,9 +168,7 @@ def right_root_report(f) -> RootReport:
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a root")
     if ctx.finite:
-        roots = tuple(a for a in ctx.elements()
-                      if ctx.is_zero(evaluate(f, a)))
-        return RootReport(f, True, roots, (), "enumeration")
+        return RootReport(f, True, tuple(right_roots(f)), (), "enumeration")
     deg = f.degree
     if deg == 0:
         return RootReport(f, True, (), (), "constant")
@@ -399,14 +395,6 @@ def dual_representation(ctx, basis):
 # ---------------------------------------------------------------------------
 # factor and product criteria
 
-def _monic_right_divisors(f, degree):
-    out = []
-    for p in monic_polynomials(f.ctx, degree):
-        if f.right_divmod(p)[1].is_zero():
-            out.append(p)
-    return out
-
-
 def monic_factors(f, degree=None):
     """All monic p with f = p1 * p * p2 for monic p1, p2; finite contexts.
 
@@ -438,9 +426,9 @@ def monic_factors(f, degree=None):
                     add(div[0])
         else:
             for d2 in range(n - dp):
-                for p2 in _monic_right_divisors(f, d2):
+                for p2 in monic_right_divisors(f, d2):
                     quot = f.right_divmod(p2)[0]
-                    for p in _monic_right_divisors(quot, dp):
+                    for p in monic_right_divisors(quot, dp):
                         add(p)
     return found
 
@@ -506,39 +494,20 @@ def _bezout_one_membership(g, h):
     complete whenever left division is available (finite contexts qualify).
     """
     ctx = g.ctx
-    dim = ctx.base_dim
-    base = ctx.base
     n = g.degree + h.degree
     def poly_to_vec(p):
         vec = []
         for i in range(n):
             vec.extend(ctx.to_vec(p.coeff(i)))
         return vec
-    cols = []
-    units = []
-    for m in range(dim):
-        unit = [base.zero] * dim
-        unit[m] = base.one
-        units.append(ctx.from_vec(unit))
-    for i in range(h.degree):
-        for e in units:
-            cols.append(poly_to_vec(SkewPolynomial.monomial(ctx, e, i) * g))
-    for j in range(g.degree):
-        for e in units:
-            cols.append(poly_to_vec(h * SkewPolynomial.monomial(ctx, e, j)))
+    units = ctx.base_units()
+    cols = [poly_to_vec(SkewPolynomial.monomial(ctx, e, i) * g)
+            for i in range(h.degree) for e in units]
+    cols += [poly_to_vec(h * SkewPolynomial.monomial(ctx, e, j))
+             for j in range(g.degree) for e in units]
     rhs = poly_to_vec(SkewPolynomial.one(ctx))
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * dim)]
-    return linalg.solve(rows, rhs, base) is not None
-
-
-def _left_roots_finite(f):
-    ctx = f.ctx
-    out = []
-    for b in ctx.elements():
-        div = f.left_divmod(SkewPolynomial.linear(ctx, b))
-        if div is not None and div[1].is_zero():
-            out.append(b)
-    return out
+    rows = [list(row) for row in zip(*cols)]
+    return linalg.solve(rows, rhs, ctx.base) is not None
 
 
 def left_root_report(f) -> RootReport:
@@ -552,8 +521,7 @@ def left_root_report(f) -> RootReport:
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a left root")
     if ctx.finite:
-        return RootReport(f, True, tuple(_left_roots_finite(f)), (),
-                          "enumeration")
+        return RootReport(f, True, tuple(left_roots(f)), (), "enumeration")
     if ctx.kind == "HQ":
         fbar = SkewPolynomial(ctx, tuple(c.conjugate() for c in f.coeffs))
         rep = right_root_report(fbar)
@@ -618,7 +586,7 @@ def product_theorem_check(g, h) -> ProductTheoremReport:
             if y is not None:
                 image.add(y)
         phi_cover = all(a in image for a in vg)
-        vph = _left_roots_finite(h)
+        vph = left_roots(h)
         quad = True
         for a in vg:
             for b in vph:
@@ -647,7 +615,7 @@ def product_theorem_check(g, h) -> ProductTheoremReport:
 def rank_union_check(ctx, delta, gamma, domain=None):
     """Both sides of rk(D) + rk(G) = rk(D u G) + rk(clos(D) n clos(G))."""
     delta, gamma = list(delta), list(gamma)
-    dom = _resolve_domain(ctx, domain)
+    dom = _resolve_domain(ctx, domain, "the union rank identity")
     fd = minimal_polynomial(ctx, delta).poly
     fg = minimal_polynomial(ctx, gamma).poly
     union = list(delta)
@@ -669,7 +637,7 @@ def phi_rank_check(h, delta, domain=None):
     for d in delta:
         if ctx.is_zero(evaluate(h, d)):
             raise DisjointnessError(f"{d} lies in V({h})")
-    dom = _resolve_domain(ctx, domain)
+    dom = _resolve_domain(ctx, domain, "the phi rank identity")
     fd = minimal_polynomial(ctx, delta).poly
     images = []
     for d in delta:
@@ -686,7 +654,7 @@ def phi_rank_check(h, delta, domain=None):
 def product_rank_bound(g, h, domain=None):
     """(rk V(gh), rk V(g) + rk V(h)) over the enumerated domain."""
     ctx = g.ctx
-    dom = _resolve_domain(ctx, domain)
+    dom = _resolve_domain(ctx, domain, "the product rank bound")
     def roots_of(p):
         return [x for x in dom if ctx.is_zero(evaluate(p, x))]
     lhs = rank(ctx, roots_of(g * h))

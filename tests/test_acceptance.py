@@ -11,7 +11,8 @@ import time
 from helpers import backend_contexts, random_poly, rng_for, simple_element
 from wpoly.algsets import minimal_polynomial, rank
 from wpoly.errors import ClassMembershipError
-from wpoly.evaluate import conjugacy_class, conjugate, evaluate, is_right_root
+from wpoly.evaluate import (conjugacy_class_reps, conjugate, evaluate,
+                            is_right_root)
 from wpoly.lattices import (build_full_lattice, build_w_lattice, duality_check,
                             gcd_vs_intersection, modular_law_sweep)
 from wpoly.metro import (MULTIPLE, SOLUTION, UNIQUE, MetroProblem,
@@ -156,17 +157,6 @@ def test_criterion_05_worked_examples():
             f"worked examples exact, {sum(checks)} of {len(checks)} parts hold")
 
 
-def _class_reps(ctx):
-    seen = set()
-    reps = []
-    for a in sorted(ctx.elements(), key=ctx.sort_key):
-        if a in seen:
-            continue
-        reps.append(a)
-        seen.update(conjugacy_class(ctx, a))
-    return reps
-
-
 def test_criterion_06_w_recognition_cross_validation():
     start = time.perf_counter()
     checked = mismatches = 0
@@ -175,7 +165,7 @@ def test_criterion_06_w_recognition_cross_validation():
         for d_desc in (("zero",), ("inner", w)):
             ctx = make_context(ring, d_desc=d_desc)
             elems = sorted(ctx.elements(), key=ctx.sort_key)
-            reps = _class_reps(ctx)
+            reps = conjugacy_class_reps(ctx)
             for deg in range(4):
                 for f in monic_polynomials(ctx, deg):
                     roots = [a for a in elems if is_right_root(f, a)]

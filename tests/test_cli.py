@@ -1,8 +1,12 @@
 """Command line interface: output text, JSON mode, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 from wpoly import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, capsys):
@@ -76,6 +80,15 @@ def test_roots_by_enumeration(capsys):
     assert "roots = {w^2+w}" in out
 
 
+def test_inner_derivation_vanishes_on_untwisted_commutative_ring(capsys):
+    # with S = id, D(a) = x*a - a*x is zero, so --D inner:x is --D zero
+    for d in ("inner:x", "zero"):
+        code, out, _ = run(["roots", "--ring", "Qx", "--D", d, "t^2 + [-1]"],
+                           capsys)
+        assert code == 0
+        assert "roots = {-1, 1}" in out
+
+
 def test_closure_member_strict_exit(capsys):
     argv = ["closure-member", "--ring", "HQ", "--", "-i", "i"]
     code, out, _ = run(argv, capsys)
@@ -122,10 +135,25 @@ def test_lattice_check_summary(capsys):
     code, out, _ = run(["lattice", "check", "--ring", "F4", "--S", "frob"],
                        capsys)
     assert code == 0
-    assert "nodes: 10" in out
-    assert "dependence_triples: 450" in out
-    assert "dependence_violations: 0" in out
-    assert out.rstrip().endswith("ok: true")
+    assert out == (
+        "nodes: 10\n"
+        "bijection: true\n"
+        "inverses: true\n"
+        "order_reversing: true\n"
+        "rank_dimension_law: true\n"
+        "degree_dimension_law: true\n"
+        "rank_equals_degree: true\n"
+        "cover_steps: true\n"
+        "atoms_are_singletons: true\n"
+        "maximal_are_linear: true\n"
+        "bounds_as_stated: true\n"
+        "modular_full: true\n"
+        "modular_w: true\n"
+        "intervals_checked: 36\n"
+        "intervals_match: true\n"
+        "dependence_triples: 450\n"
+        "dependence_violations: 0\n"
+        "ok: true\n")
 
 
 def test_examples_replay(capsys):
@@ -152,3 +180,15 @@ def test_batch_runs_lines_and_keeps_worst_exit(capsys, tmp_path):
         "closure-member --ring HQ --strict j i\n")
     code, out, _ = run(["batch", str(script)], capsys)
     assert code == 1
+
+
+def test_readme_cli_examples_run(capsys):
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines()
+                if line.startswith("wpoly ") and "batch FILE" not in line]
+    assert len(commands) == 10
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)

@@ -3,8 +3,7 @@
 import pytest
 
 from wpoly.errors import CapabilityMissingError, NotFullError
-from wpoly.lattices import (ADJOINED_BOTTOM, ADJOINED_TOP, augment,
-                            build_full_lattice, build_w_lattice, duality_check,
+from wpoly.lattices import (build_full_lattice, build_w_lattice, duality_check,
                             full_set_nodes, gcd_vs_intersection, hasse_edges,
                             intersection_minpoly, modular_law_check,
                             modular_law_sweep)
@@ -80,20 +79,6 @@ def test_duality_check_frobenius():
     assert report.atoms_are_singletons and report.maximal_are_linear
     assert report.bounds_as_stated and report.modular_full and report.modular_w
     assert report.intervals_match and report.intervals_checked == 36
-
-
-def test_augment_adjoins_markers():
-    fl = build_full_lattice(FROB)
-    assert augment(fl) is fl
-    aug = augment(fl, add_top=True, add_bottom=True)
-    assert aug.n == fl.n + 2
-    assert aug.nodes[aug.bottom] is ADJOINED_BOTTOM
-    assert aug.nodes[aug.top] is ADJOINED_TOP
-    assert aug.adjoined_top and aug.adjoined_bottom
-    only_top = augment(fl, add_top=True)
-    assert only_top.n == fl.n + 1
-    assert only_top.nodes[only_top.top] is ADJOINED_TOP
-    assert only_top.nodes[only_top.bottom] == ()
 
 
 def test_enumeration_needs_a_finite_ring():

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import backend_contexts, rng_for
 from wpoly.evaluate import evaluate, right_roots
 from wpoly.rootfind import (central_factor_candidates,
@@ -9,9 +13,10 @@ from wpoly.rootfind import (central_factor_candidates,
                             quaternion_candidate_classes,
                             quaternion_class_rep, rational_poly_roots,
                             ratfunc_classical_roots)
+from wpoly.parsing import parse_elements
 from wpoly.rings import Quaternion, make_context
 from wpoly.skew import SkewPolynomial, product_of_linears
-from wpoly.wedderburn import right_root_report
+from wpoly.wedderburn import IS_W, is_wedderburn, right_root_report
 
 BACKENDS = backend_contexts()
 
@@ -122,3 +127,45 @@ def test_quaternion_candidate_classes_cover_roots():
     tag, rep = classes[0]
     assert tag == ("quad", Fraction(0), Fraction(1))
     assert rep.trace() == 0 and rep.norm() == 1
+
+
+def _class_tag(r):
+    """Tag of the central minimal polynomial of a quaternion's class."""
+    if r.is_central():
+        return ("lin", r.a)
+    return ("quad", r.trace(), r.norm())
+
+
+def _assert_candidates_cover(roots):
+    f = product_of_linears(BACKENDS["HQ"], roots)
+    tags = central_factor_candidates(norm_polynomial(f))
+    missing = {_class_tag(r) for r in roots} - set(tags)
+    assert not missing, (str(f), missing)
+    return f
+
+
+@pytest.mark.parametrize("roots", [
+    "1+2i-9/2j+2/3k, -7/3-3i-3/2j-2k, 1+3/2i+j-7/3k, -4-5i-5/3j+5/3k, "
+    "-5/3+2i+2j+8/3k, -5-3i-2j-5/2k",
+    "3/2-6i-1/3k, -2/3-4i-8/3j-2k, -3/2-5/2i-8/3j, -4/3-2/3i+2j+7/2k, "
+    "4/3+9/2i-9j",
+])
+def test_exact_candidates_keep_every_factor_class(roots):
+    # products on which a numeric root search of the norm dropped classes
+    f = _assert_candidates_cover(parse_elements(roots, BACKENDS["HQ"]))
+    cert = is_wedderburn(f)
+    assert cert.verdict == IS_W
+    assert cert.recheck()
+
+
+_COMPONENT = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+_QUATERNION = st.builds(Quaternion, _COMPONENT, _COMPONENT, _COMPONENT,
+                        _COMPONENT)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(_QUATERNION, min_size=2, max_size=5))
+def test_candidates_contain_every_factor_class(roots):
+    # Gordon-Motzkin: the class of each factor's root is a root class of
+    # the product, so its central minimal polynomial divides the norm
+    _assert_candidates_cover(roots)
