@@ -96,6 +96,9 @@ def _root_report_payload(ctx, report):
     lines = [f"method: {report.method}"]
     if report.finite:
         lines.append(f"roots = {_set_text(ctx, report.roots)}")
+    elif not report.classes:
+        lines.append("infinitely many roots; samples = "
+                     + _set_text(ctx, report.roots))
     else:
         lines.append("infinitely many roots; per conjugacy class:")
         for cls in report.classes:

@@ -11,28 +11,37 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algsets import closure, is_full, is_p_dependent, minimal_polynomial, rank
+from .algsets import closure, is_full, is_p_dependent, minimal_polynomial
 from .errors import CapabilityMissingError, NotFullError
 from .evaluate import right_roots
 from .skew import SkewPolynomial, monic_right_divisors, rgcd_llcm
 
 
-class FiniteLattice:
-    """An explicit finite lattice: nodes, order matrix, meet and join tables.
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    leq[i, j] holds when node i is below node j.  Construction verifies the
-    partial-order axioms and that the supplied meet and join tables are the
-    true greatest lower and least upper bounds; a violation is a library
-    defect, not an input error, so it raises AssertionError.
+
+class FiniteLattice:
+    """An explicit finite lattice: nodes, order bitsets, meet and join tables.
+
+    Bit j of up[i], and bit i of down[j], is set when node i is below node
+    j.  Construction verifies the partial-order axioms and that the supplied
+    meet and join tables are the true greatest lower and least upper bounds;
+    a violation is a library defect, not an input error, so it raises
+    AssertionError.
     """
 
-    def __init__(self, kind, ctx, nodes, leq, meet, join):
+    def __init__(self, kind, ctx, nodes, up, meet, join):
         self.kind = kind
         self.ctx = ctx
         self.nodes = tuple(nodes)
-        self.leq = leq
+        self.up = list(up)
+        self.down = [sum(1 << i for i in range(self.n) if self.up[i] >> j & 1)
+                     for j in range(self.n)]
         self.meet = meet
         self.join = join
         self._index = {node: i for i, node in enumerate(self.nodes)}
@@ -46,98 +55,96 @@ class FiniteLattice:
         return self._index[node]
 
     @classmethod
-    def from_functions(cls, kind, ctx, nodes, leq_fn, meet_fn, join_fn):
+    def from_functions(cls, kind, ctx, nodes, leq_fn, bounds_fn):
+        """Tabulate leq_fn(a, b) and bounds_fn(a, b) -> (meet, join)."""
         nodes = tuple(nodes)
         n = len(nodes)
         index = {node: i for i, node in enumerate(nodes)}
-        leq = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                leq[i, j] = bool(leq_fn(nodes[i], nodes[j]))
-        meet = np.zeros((n, n), dtype=np.int16)
-        join = np.zeros((n, n), dtype=np.int16)
+        up = [sum(1 << j for j in range(n) if leq_fn(nodes[i], nodes[j]))
+              for i in range(n)]
+        meet = [[0] * n for _ in range(n)]
+        join = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                m = meet_fn(nodes[i], nodes[j])
-                v = join_fn(nodes[i], nodes[j])
+                m, v = bounds_fn(nodes[i], nodes[j])
                 if m not in index or v not in index:
                     raise AssertionError(
                         "meet or join left the node set, the lattice is not closed")
-                meet[i, j] = meet[j, i] = index[m]
-                join[i, j] = join[j, i] = index[v]
-        return cls(kind, ctx, nodes, leq, meet, join)
+                meet[i][j] = meet[j][i] = index[m]
+                join[i][j] = join[j][i] = index[v]
+        return cls(kind, ctx, nodes, up, meet, join)
 
     def _verify(self):
-        leq = self.leq
-        n = self.n
+        n, up, down = self.n, self.up, self.down
         if n == 0:
             raise ValueError("empty lattice")
-        if not leq.diagonal().all():
+        if not all(up[i] >> i & 1 for i in range(n)):
             raise AssertionError("order is not reflexive")
-        if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        if any(up[i] & down[i] != 1 << i for i in range(n)):
             raise AssertionError("order is not antisymmetric")
-        reach = leq.astype(np.uint8)
-        if (((reach @ reach) > 0) & ~leq).any():
+        if any(up[j] & ~up[i] for i in range(n) for j in _bits(up[i])):
             raise AssertionError("order is not transitive")
-        rows = np.arange(n)
-        for table, rel, what in ((self.meet, leq, "meet"),
-                                 (self.join, leq.T, "join")):
-            # bounds both arguments, and is the tightest such bound
-            if not rel[table, rows[:, None]].all():
-                raise AssertionError(f"{what} does not bound its first argument")
-            if not rel[table, rows[None, :]].all():
-                raise AssertionError(f"{what} does not bound its second argument")
-            common = rel[:, :, None] & rel[:, None, :]
-            dominated = rel[:, table]
-            if (common & ~dominated).any():
-                raise AssertionError(f"{what} is not the tightest bound")
+        # the elements below meet(i, j) are exactly the common lower bounds:
+        # meet bounds both arguments and every common bound lies below it
+        for table, rel, what in ((self.meet, down, "meet"),
+                                 (self.join, up, "join")):
+            for i in range(n):
+                row = table[i]
+                if any(rel[row[j]] != rel[i] & rel[j] for j in range(n)):
+                    raise AssertionError(f"{what} is not the tightest bound "
+                                         "of its arguments")
 
     # -- structure ------------------------------------------------------------
     @property
     def bottom(self) -> int:
-        rows = np.nonzero(self.leq.all(axis=1))[0]
+        full = (1 << self.n) - 1
+        rows = [i for i in range(self.n) if self.up[i] == full]
         if len(rows) != 1:
             raise AssertionError("no unique bottom element")
-        return int(rows[0])
+        return rows[0]
 
     @property
     def top(self) -> int:
-        cols = np.nonzero(self.leq.all(axis=0))[0]
+        full = (1 << self.n) - 1
+        cols = [j for j in range(self.n) if self.down[j] == full]
         if len(cols) != 1:
             raise AssertionError("no unique top element")
-        return int(cols[0])
+        return cols[0]
 
     def covers(self):
-        """Boolean matrix of covering pairs: c[i, j] when j covers i."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-        return strict & ~via
+        """Covering bitsets: bit j of covers()[i] when j covers i."""
+        out = []
+        for i in range(self.n):
+            above = self.up[i] & ~(1 << i)
+            out.append(sum(1 << j for j in _bits(above)
+                           if above & self.down[j] == 1 << j))
+        return out
 
     def atoms(self):
-        return [int(j) for j in np.nonzero(self.covers()[self.bottom])[0]]
+        return list(_bits(self.covers()[self.bottom]))
 
     def coatoms(self):
-        return [int(i) for i in np.nonzero(self.covers()[:, self.top])[0]]
+        top = self.top
+        return [i for i, c in enumerate(self.covers()) if c >> top & 1]
 
     def is_modular(self) -> bool:
         """a <= b forces a v (x ^ b) = (a v x) ^ b, checked on all triples."""
+        meet, join = self.meet, self.join
         for a in range(self.n):
-            for b in np.nonzero(self.leq[a])[0]:
-                lhs = self.join[a, self.meet[:, b]]
-                rhs = self.meet[self.join[a], b]
-                if not np.array_equal(lhs, rhs):
+            for b in _bits(self.up[a]):
+                if any(join[a][meet[x][b]] != meet[join[a][x]][b]
+                       for x in range(self.n)):
                     return False
         return True
 
     def interval(self, lo: int, hi: int):
         """Node indices g with lo <= g <= hi."""
-        sel = self.leq[lo, :] & self.leq[:, hi]
-        return [int(i) for i in np.nonzero(sel)[0]]
+        return list(_bits(self.up[lo] & self.down[hi]))
 
 
 def hasse_edges(lattice: FiniteLattice):
     """Covering pairs (lower index, upper index) for diagram emission."""
-    return [(int(i), int(j)) for i, j in np.argwhere(lattice.covers())]
+    return [(i, j) for i, c in enumerate(lattice.covers()) for j in _bits(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +186,13 @@ def build_full_lattice(ctx) -> FiniteLattice:
         bset = set(b)
         return all(x in bset for x in a)
 
-    def meet_fn(a, b):
-        bset = set(b)
-        return tuple(x for x in a if x in bset)
-
-    def join_fn(a, b):
-        aset = set(a)
-        return closure(ctx, list(a) + [x for x in b if x not in aset])
+    def bounds_fn(a, b):
+        aset, bset = set(a), set(b)
+        return (tuple(x for x in a if x in bset),
+                closure(ctx, list(a) + [x for x in b if x not in aset]))
 
     return FiniteLattice.from_functions("full-sets", ctx, nodes,
-                                        leq_fn, meet_fn, join_fn)
+                                        leq_fn, bounds_fn)
 
 
 def build_w_lattice(ctx) -> FiniteLattice:
@@ -203,18 +207,23 @@ def build_w_lattice(ctx) -> FiniteLattice:
     def leq_fn(f, h):
         return f.right_divmod(h)[1].is_zero()
 
-    def meet_fn(f, h):
-        return rgcd_llcm(f, h).llcm
-
-    def join_fn(f, h):
-        return rgcd_llcm(f, h).rgcd
+    def bounds_fn(f, h):
+        res = rgcd_llcm(f, h)
+        return res.llcm, res.rgcd
 
     return FiniteLattice.from_functions("w-polys", ctx, nodes,
-                                        leq_fn, meet_fn, join_fn)
+                                        leq_fn, bounds_fn)
 
 
 # ---------------------------------------------------------------------------
 # duality verification
+
+def _dimension_law(lattice, dims):
+    """dims(x ^ y) + dims(x v y) = dims(x) + dims(y) on every pair."""
+    meet, join = lattice.meet, lattice.join
+    return all(dims[meet[i][j]] + dims[join[i][j]] == dims[i] + dims[j]
+               for i in range(lattice.n) for j in range(lattice.n))
+
 
 @dataclass(frozen=True)
 class DualityReport:
@@ -255,49 +264,33 @@ def duality_check(fl: FiniteLattice, wl: FiniteLattice) -> DualityReport:
     n = fl.n
     key = ctx.sort_key
 
+    mins = [minimal_polynomial(ctx, list(node)) for node in fl.nodes]
+    ranks_f = [m.rank for m in mins]
+    degs_w = [p.degree for p in wl.nodes]
+
     bijection = n == wl.n
     sigma = []
     if bijection:
-        for node in fl.nodes:
-            p = minimal_polynomial(ctx, list(node)).poly
-            sigma.append(wl.index(p))
+        sigma = [wl.index(m.poly) for m in mins]
         bijection = len(set(sigma)) == n
 
-    inverses = bijection
-    if bijection:
-        for i, node in enumerate(fl.nodes):
-            back = tuple(sorted(right_roots(wl.nodes[sigma[i]]), key=key))
-            if back != node:
-                inverses = False
-                break
+    inverses = bijection and all(
+        tuple(sorted(right_roots(wl.nodes[sigma[i]]), key=key)) == node
+        for i, node in enumerate(fl.nodes))
 
-    order_reversing = False
-    if bijection:
-        perm = np.array(sigma)
-        order_reversing = bool(
-            np.array_equal(fl.leq, wl.leq[np.ix_(perm, perm)].T))
+    order_reversing = bijection and all(
+        (fl.up[i] >> j & 1) == (wl.up[sigma[j]] >> sigma[i] & 1)
+        for i in range(n) for j in range(n))
 
-    degs_w = np.array([p.degree for p in wl.nodes])
-    ranks_f = np.array([minimal_polynomial(ctx, list(s)).poly.degree
-                        for s in fl.nodes])
+    rank_dimension_law = _dimension_law(fl, ranks_f)
+    degree_dimension_law = _dimension_law(wl, degs_w)
 
-    rank_dimension_law = bool(np.array_equal(
-        ranks_f[fl.meet] + ranks_f[fl.join],
-        ranks_f[:, None] + ranks_f[None, :]))
-    degree_dimension_law = bool(np.array_equal(
-        degs_w[wl.meet] + degs_w[wl.join],
-        degs_w[:, None] + degs_w[None, :]))
+    rank_equals_degree = bijection and all(
+        len(m.basis) == degs_w[sigma[i]] for i, m in enumerate(mins))
 
-    rank_equals_degree = all(
-        rank(ctx, list(s)) == ranks_f[i] for i, s in enumerate(fl.nodes))
-
-    cover_steps = True
-    for i, j in np.argwhere(fl.covers()):
-        if ranks_f[j] - ranks_f[i] != 1:
-            cover_steps = False
-    for i, j in np.argwhere(wl.covers()):
-        if degs_w[i] - degs_w[j] != 1:
-            cover_steps = False
+    cover_steps = (
+        all(ranks_f[j] - ranks_f[i] == 1 for i, j in hasse_edges(fl))
+        and all(degs_w[i] - degs_w[j] == 1 for i, j in hasse_edges(wl)))
 
     atoms_are_singletons = (
         {fl.nodes[i] for i in fl.atoms()}
@@ -310,27 +303,24 @@ def duality_check(fl: FiniteLattice, wl: FiniteLattice) -> DualityReport:
         fl.nodes[fl.bottom] == ()
         and wl.nodes[wl.top] == SkewPolynomial.one(ctx)
         and len(fl.nodes[fl.top]) == len(list(ctx.elements()))
-        and wl.nodes[wl.bottom].degree == degs_w.max())
+        and wl.nodes[wl.bottom].degree == max(degs_w))
 
     modular_full = fl.is_modular()
     modular_w = wl.is_modular()
 
     intervals_checked = 0
     intervals_match = True
-    divisors = {}
     for i in range(wl.n):
         f = wl.nodes[i]
-        for j in np.nonzero(wl.leq[i])[0]:
+        divisors = [monic_right_divisors(f, d) for d in range(f.degree + 1)]
+        for j in _bits(wl.up[i]):
             h = wl.nodes[j]
-            if i not in divisors:
-                divisors[i] = [monic_right_divisors(f, d)
-                               for d in range(f.degree + 1)]
             enumerated = {
                 g
                 for d in range(h.degree, f.degree + 1)
-                for g in divisors[i][d]
+                for g in divisors[d]
                 if g.right_divmod(h)[1].is_zero()}
-            via_lattice = {wl.nodes[g] for g in wl.interval(int(i), int(j))}
+            via_lattice = {wl.nodes[g] for g in wl.interval(i, j)}
             intervals_checked += 1
             if enumerated != via_lattice:
                 intervals_match = False

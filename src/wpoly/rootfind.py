@@ -17,6 +17,7 @@ import sympy
 from sympy.solvers.diophantine.diophantine import sum_of_squares
 from sympy.solvers.ode.riccati import solve_riccati
 
+from .errors import NotSplitError
 from .rings import (
     Quaternion,
     RatFunc,
@@ -131,6 +132,8 @@ def derivation_quadratic_roots(ctx, f):
 
     Returns (roots, parametric): parametric is True when a verified family
     makes the root set infinite, in which case roots holds samples.
+    Raises NotSplitError when the solver itself fails, since the search is
+    then not complete.
     """
     from .evaluate import evaluate
 
@@ -139,7 +142,11 @@ def derivation_quadratic_roots(ctx, f):
     fx = sympy.Function("f_")(x)
     b0 = -_rf_to_sympy(q, x)
     b1 = -_rf_to_sympy(p, x)
-    sols = solve_riccati(fx, x, b0, b1, sympy.Integer(-1))
+    try:
+        sols = solve_riccati(fx, x, b0, b1, sympy.Integer(-1))
+    except sympy.PolynomialError:
+        raise NotSplitError(
+            f"sympy's Riccati solver failed on the equation of {f}") from None
     roots = []
     def consider(expr):
         cand = _sympy_to_rf(expr, x, ctx.variable)

@@ -146,6 +146,18 @@ class RootReport:
     classes: tuple
     method: str
 
+    @property
+    def basis(self) -> tuple:
+        """Roots with the same minimal polynomial as V(f): the listed roots
+        when no classes are given, else a^x for each exponential-space
+        basis vector x of each class a.  Within a class the rank of V(f) is
+        the dimension of E(f, a) over the centralizer, and ranks add across
+        classes."""
+        if not self.classes:
+            return self.roots
+        return tuple(conjugate(c.space.ctx, c.rep, x)
+                     for c in self.classes for x in c.space.basis)
+
 
 def _quaternion_root_classes(f):
     ctx = f.ctx
@@ -162,7 +174,7 @@ def right_root_report(f) -> RootReport:
 
     Raises NotSplitError when the context offers no complete search for
     this degree (twisted rational functions beyond the linear case,
-    derivations beyond the quadratic case).
+    derivations beyond the quadratic case, quaternions with D != 0).
     """
     ctx = f.ctx
     if f.is_zero():
@@ -176,6 +188,9 @@ def right_root_report(f) -> RootReport:
         roots = tuple(rational_poly_roots(f.coeffs))
         return RootReport(f, True, roots, (), "rational-root-theorem")
     if ctx.kind == "HQ":
+        if ctx.d_desc[0] != "zero" and not ctx.d_desc[1].is_central():
+            raise NotSplitError(
+                f"the quaternion root engine assumes D = 0, not {ctx.describe()}")
         classes = _quaternion_root_classes(f)
         finite = all(c.finite for c in classes)
         roots = ()
@@ -199,13 +214,8 @@ def right_root_report(f) -> RootReport:
 
 
 def _first_root(f):
-    ctx = f.ctx
-    report = right_root_report(f)
-    if ctx.kind == "HQ":
-        if not report.classes:
-            return None
-        return report.classes[0].sample_root()
-    return report.roots[0] if report.roots else None
+    basis = right_root_report(f).basis
+    return basis[0] if basis else None
 
 
 # ---------------------------------------------------------------------------
@@ -273,51 +283,21 @@ def _certify(f, roots):
     return WCertificate(f, NOT_W, res.basis, res.poly)
 
 
-def _is_wedderburn_quaternion(f):
-    ctx = f.ctx
-    g = SkewPolynomial.one(ctx)
-    collected = []
-    for cls in _quaternion_root_classes(f):
-        a = cls.rep
-        while True:
-            span_rows, _ = linalg.rref(
-                [list(v) for v in linalg.kernel(lambda_matrix(ctx, g, a),
-                                                ctx.base)], ctx.base)
-            new = None
-            for x in cls.space.base_kernel:
-                if not linalg.span_contains(span_rows, ctx.to_vec(x), ctx.base):
-                    new = x
-                    break
-            if new is None:
-                break
-            root = conjugate(ctx, a, new)
-            val = evaluate(g, root)
-            if ctx.is_zero(val):
-                raise AssertionError("fresh root already annihilated")
-            g = SkewPolynomial.linear(ctx, conjugate(ctx, root, val)) * g
-            collected.append(root)
-    if g == f:
-        return WCertificate(f, IS_W, tuple(collected))
-    return WCertificate(f, NOT_W, tuple(collected), g)
-
-
 def is_wedderburn(f) -> WCertificate:
     """Decide f = f_{V(f)} with a re-checkable certificate.
 
-    Finite rings enumerate; the rationals and untwisted rational functions
+    The candidate roots are the P-basis of V(f) from right_root_report:
+    finite rings enumerate; the rationals and untwisted rational functions
     use complete classical root searches; quadratics over (Q(x), id, d/dx)
-    use the Riccati engine; quaternions run the per-class greedy closure.
-    NotSplitError propagates where no complete search exists.
+    use the Riccati engine; quaternions take, per root class, the
+    conjugates by an exponential-space basis.  NotSplitError propagates
+    where no complete search exists.
     """
     if f.is_zero() or not f.is_monic():
         raise ValueError("is_wedderburn expects a monic polynomial")
-    ctx = f.ctx
     if f.degree == 0:
         return WCertificate(f, IS_W, ())
-    if ctx.kind == "HQ":
-        return _is_wedderburn_quaternion(f)
-    report = right_root_report(f)
-    return _certify(f, report.roots)
+    return _certify(f, right_root_report(f).basis)
 
 
 # ---------------------------------------------------------------------------

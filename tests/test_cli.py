@@ -1,7 +1,10 @@
 """Command line interface: output text, JSON mode, exit codes."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from wpoly import cli
@@ -129,6 +132,55 @@ def test_split_reports_not_split(capsys):
     assert "NOT_SPLIT" in out
     code, _, _ = run(argv[:1] + ["--strict"] + argv[1:], capsys)
     assert code == 1
+
+
+def test_quaternions_with_a_derivation_are_not_split(capsys):
+    # the quaternion root engine assumes D = 0; it must say so, not answer
+    for argv in (["is-wedderburn", "--ring", "HQ", "--D", "inner:i",
+                  "t^2 + [1]"],
+                 ["roots", "--ring", "HQ", "--D", "inner:j", "t + [-i]"],
+                 ["left-roots", "--ring", "HQ", "--D", "inner:j", "t + [-i]"],
+                 ["split", "--ring", "HQ", "--D", "inner:j", "t + [-i]"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        assert out.startswith("NOT_SPLIT: the quaternion root engine "
+                              "assumes D = 0"), argv
+    code, out, _ = run(["metro", "equiv", "--ring", "HQ", "--D", "inner:i",
+                        "--a", "j", "--b", "k", "--c", "1"], capsys)
+    assert code == 0
+    assert "product is a minimal polynomial of its roots: undecided" in out
+    # an inner derivation by a central element is zero, and is answered
+    code, out, _ = run(["is-wedderburn", "--ring", "HQ", "--D", "inner:2",
+                        "t^2 + [1]"], capsys)
+    assert code == 0 and "verdict = IS_W" in out
+
+
+def test_riccati_solver_failure_is_not_split(capsys):
+    poly = "t^2 + [(-u+4)/(u+2)]*t + [-3u/(u^2+4u+4)]"
+    code, out, _ = run(["is-wedderburn", "--ring", "Qu", "--D", "ddx", poly],
+                       capsys)
+    assert code == 0
+    assert out.startswith("NOT_SPLIT: sympy's Riccati solver failed")
+
+
+def test_parametric_riccati_roots_list_samples(capsys):
+    code, out, _ = run(["roots", "--ring", "Qu", "--D", "ddx",
+                        "t^2 + [-2u]*t + [u^2-1]"], capsys)
+    assert code == 0
+    assert out == ("method: riccati\n"
+                   "infinitely many roots; samples = {u, (u^2+1)/(u), "
+                   "(u^2+u+1)/(u+1), (u^2+2u+1)/(u+2), (u^2+3u+1)/(u+3), "
+                   "(u^2+4u+1)/(u+4)}\n")
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, wpoly.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_lattice_check_summary(capsys):

@@ -3,10 +3,10 @@
 import pytest
 
 from wpoly.errors import CapabilityMissingError, NotFullError
-from wpoly.lattices import (build_full_lattice, build_w_lattice, duality_check,
-                            full_set_nodes, gcd_vs_intersection, hasse_edges,
-                            intersection_minpoly, modular_law_check,
-                            modular_law_sweep)
+from wpoly.lattices import (FiniteLattice, build_full_lattice, build_w_lattice,
+                            duality_check, full_set_nodes, gcd_vs_intersection,
+                            hasse_edges, intersection_minpoly,
+                            modular_law_check, modular_law_sweep)
 from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial
 
@@ -28,6 +28,42 @@ def test_classical_f4_is_the_boolean_lattice():
     assert len(fl.atoms()) == 4 and len(fl.coatoms()) == 4
     assert len(hasse_edges(fl)) == 32
     assert fl.is_modular() and wl.is_modular()
+
+
+def test_construction_rejects_a_wrong_meet():
+    def leq(a, b):
+        return a <= b
+
+    def bounds(a, b):
+        return min(a, b), max(a, b)
+
+    chain = FiniteLattice.from_functions("chain", None, range(4), leq, bounds)
+    assert chain.bottom == 0 and chain.top == 3 and chain.is_modular()
+
+    def wrong_meet(a, b):
+        return (0 if a != b else a), max(a, b)
+
+    with pytest.raises(AssertionError, match="meet"):
+        FiniteLattice.from_functions("chain", None, range(4), leq, wrong_meet)
+
+
+def test_pentagon_is_not_modular():
+    # N5: 0 < a < c < 1 and 0 < b < 1, with b incomparable to a and c
+    below = {"0": {"0"}, "a": {"0", "a"}, "c": {"0", "a", "c"},
+             "b": {"0", "b"}, "1": {"0", "a", "b", "c", "1"}}
+
+    def leq(x, y):
+        return x in below[y]
+
+    def bounds(x, y):
+        common = below[x] & below[y]
+        meet = max(common, key=lambda z: len(below[z]))
+        upper = [z for z in below if x in below[z] and y in below[z]]
+        return meet, min(upper, key=lambda z: len(below[z]))
+
+    n5 = FiniteLattice.from_functions("N5", None, below, leq, bounds)
+    assert n5.n == 5 and n5.nodes[n5.top] == "1"
+    assert not n5.is_modular()
 
 
 def test_frobenius_f4_collapses_to_ten_nodes():

@@ -41,6 +41,35 @@ def test_quaternion_mixed_product_is_not_w():
     assert cert.recheck()
 
 
+def test_quaternion_infinite_classes_are_w():
+    # a set holding two conjugates of a non-central element has a minimal
+    # polynomial with infinitely many roots in that class
+    hq = BACKENDS["HQ"]
+    rng = rng_for("hq-infinite", 42)
+
+    def small():
+        return hq.from_vec(tuple(rng.randint(-2, 2) for _ in range(4)))
+
+    seen = 0
+    while seen < 12:
+        elems = []
+        for _ in range(rng.randint(1, 3)):
+            a = small()
+            for _ in range(rng.randint(1, 2)):
+                c = small()
+                if not c.is_zero():
+                    x = conjugate(hq, a, c)
+                    if not any(x == y for y in elems):
+                        elems.append(x)
+        f = minimal_polynomial(hq, elems).poly
+        if f.degree < 3 or right_root_report(f).finite:
+            continue
+        seen += 1
+        cert = is_wedderburn(f)
+        assert cert.verdict == IS_W and cert.recheck()
+        assert len(cert.roots) == f.degree
+
+
 def test_differential_twisted_square_is_w():
     qu = BACKENDS["Qu"]
     u = qu.x
