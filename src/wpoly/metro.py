@@ -19,7 +19,7 @@ from .errors import (
     NotSplitError,
 )
 from .evaluate import conjugacy_class, conjugate, is_right_root
-from .rings import QBase, RatFunc, qp_mul
+from .rings import QBase, RatFunc, ip_mul
 from .skew import SkewPolynomial
 from .wedderburn import is_wedderburn, right_root_report
 
@@ -108,8 +108,8 @@ def _solve_base_linear(problem) -> MetroSolutionReport:
 
 def _poly_part(r: RatFunc):
     """Coefficient tuple when r has a constant denominator, else None."""
-    if len(r.den) == 1:
-        return tuple(c / r.den[0] for c in r.num)
+    if len(r.iden) == 1:
+        return tuple(Fraction(c, r.iden[0]) for c in r.inum)
     return None
 
 
@@ -128,32 +128,33 @@ def _solve_differential(problem) -> MetroSolutionReport:
                 reason="antiderivative search covers polynomial c only")
         anti = (Fraction(0),) + tuple(-coeffs[i] / (i + 1)
                                       for i in range(len(coeffs)))
-        x = RatFunc(anti, (Fraction(1),), var)
+        x = RatFunc(anti, (1,), var)
         second = x + ctx.one
         return MetroSolutionReport(problem, SOLUTION, x, MULTIPLE, second,
                                    strategy="antiderivative")
-    # fixed-denominator ansatz x = n(var)/q0, n of bounded degree; the
-    # system L(x) = c is linear in the coefficients of n
-    bound = 2 * max(len(diff.num), len(diff.den), len(c.num), len(c.den)) + 4
-    q0 = qp_mul(diff.den, c.den)
+    # fixed-denominator ansatz x = n(var)/q0, n of bounded degree, q0 the
+    # product of the monic denominators; the system L(x) = c is linear in
+    # the coefficients of n
+    bound = 2 * max(len(diff.inum), len(diff.iden), len(c.inum), len(c.iden)) + 4
+    iq0 = ip_mul(diff.iden, c.iden)
     basis = []
     for k in range(bound + 1):
-        num = (Fraction(0),) * k + (Fraction(1),)
-        xk = RatFunc(num, q0, var)
+        xk = RatFunc((0,) * k + (iq0[-1],), iq0, var)
         basis.append((xk, diff * xk - xk.derivative()))
+    # clear all denominators: every equation is multiplied by the product
+    # of the denominators times one constant, which keeps its solutions
     terms = [img for _, img in basis] + [c]
-    dens = [t.den for t in terms]
     scaled = []
     for i, t in enumerate(terms):
-        n = t.num
-        for m, d in enumerate(dens):
+        n = t.inum
+        for m, other in enumerate(terms):
             if m != i:
-                n = qp_mul(n, d)
+                n = ip_mul(n, other.iden)
         scaled.append(n)
     width = max(len(n) for n in scaled)
-    rows = [[scaled[k][r] if r < len(scaled[k]) else Fraction(0)
+    rows = [[Fraction(scaled[k][r]) if r < len(scaled[k]) else Fraction(0)
              for k in range(len(basis))] for r in range(width)]
-    rhs = [scaled[-1][r] if r < len(scaled[-1]) else Fraction(0)
+    rhs = [Fraction(scaled[-1][r]) if r < len(scaled[-1]) else Fraction(0)
            for r in range(width)]
     base = QBase()
     sol = linalg.solve(rows, rhs, base)
@@ -166,13 +167,13 @@ def _solve_differential(problem) -> MetroSolutionReport:
     x = ctx.zero
     for lam, (xk, _) in zip(sol, basis):
         if lam:
-            x = x + RatFunc((lam,), (Fraction(1),), var) * xk
+            x = x + RatFunc.const(lam, var) * xk
     ker = linalg.kernel(rows, base)
     if ker:
         y = ctx.zero
         for lam, (xk, _) in zip(ker[0], basis):
             if lam:
-                y = y + RatFunc((lam,), (Fraction(1),), var) * xk
+                y = y + RatFunc.const(lam, var) * xk
         second = x + y
         if problem.is_solution(second) and second != x:
             return MetroSolutionReport(problem, SOLUTION, x, MULTIPLE,

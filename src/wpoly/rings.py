@@ -11,18 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm
 
 from .errors import CapabilityMissingError, ContextMismatchError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_DEN1 = (_F1,)
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction, ascending coefficients,
-# no trailing zeros; () is the zero polynomial
+# dense univariate polynomials, ascending coefficients, no trailing zeros;
+# () is the zero polynomial.  The ip_* helpers take int coefficients.
 
 def qp_trim(coeffs):
     c = list(coeffs)
@@ -31,59 +30,34 @@ def qp_trim(coeffs):
     return tuple(c)
 
 
-def qp_add(a, b):
-    n = max(len(a), len(b))
-    return qp_trim([(a[i] if i < len(a) else _F0) + (b[i] if i < len(b) else _F0)
-                    for i in range(n)])
+def ip_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return qp_trim(out)
 
 
-def qp_neg(a):
-    return tuple(-c for c in a)
+def ip_sub(a, b):
+    return ip_add(a, tuple(-v for v in b))
 
 
-def qp_mul(a, b):
+def ip_mul(a, b):
     if not a or not b:
         return ()
-    out = [_F0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return qp_trim(out)
-
-
-def qp_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [_F0] * max(0, len(a) - len(b) + 1)
-    inv_lc = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv_lc
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] -= c * bi
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return qp_trim(q), qp_trim(a)
+    return tuple(out)
 
 
 def _qp_to_int(a):
     """Scale a Fraction tuple to a primitive integer list."""
-    lcm = 1
-    for c in a:
-        d = c.denominator
-        lcm = lcm * d // _igcd(lcm, d)
-    ints = [int(c * lcm) for c in a]
-    g = 0
-    for v in ints:
-        g = _igcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    scale = lcm(*(c.denominator for c in a))
+    return _ip_primitive([c.numerator * (scale // c.denominator) for c in a])
 
 
 def _ip_pseudo_rem(a, b):
@@ -103,54 +77,56 @@ def _ip_pseudo_rem(a, b):
     return a
 
 
-def qp_gcd(a, b):
-    """Monic gcd, computed by a primitive PRS over the integers to avoid
-    Fraction coefficient blowup."""
-    if not a or not b:
-        src = a or b
-        if not src:
-            return ()
-        inv_lc = 1 / src[-1]
-        return tuple(c * inv_lc for c in src)
-    A, B = _qp_to_int(a), _qp_to_int(b)
-    while B:
-        R = _ip_pseudo_rem(A, B)
-        g = 0
-        for v in R:
-            g = _igcd(g, v)
-        if g > 1:
-            R = [v // g for v in R]
-        A, B = B, R
-    lc = Fraction(A[-1])
-    return tuple(Fraction(v) / lc for v in A)
+def _ip_primitive(a):
+    g = _igcd(*a)
+    return [v // g for v in a] if g > 1 else a
 
 
-def qp_deriv(a):
-    return qp_trim([a[i] * i for i in range(1, len(a))])
+def ip_gcd(a, b):
+    """Primitive gcd of two nonzero integer polynomials, by a primitive
+    PRS; its sign is arbitrary."""
+    a, b = _ip_primitive(a), _ip_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _ip_pseudo_rem(a, b)
+        if b:
+            b = _ip_primitive(b)
+    return a
 
 
-def qp_neg_x(a):
+def _ip_exact_quo(a, b):
+    """a / b for integer polynomials when b is primitive and divides a over
+    Q; by Gauss's lemma the quotient then has integer coefficients."""
+    a = list(a)
+    lb = b[-1]
+    db = len(b)
+    q = [0] * (len(a) - db + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = a[k + db - 1] // lb
+        if c:
+            q[k] = c
+            for i, bi in enumerate(b):
+                a[k + i] -= c * bi
+    return tuple(q)
+
+
+def ip_deriv(a):
+    return tuple(a[i] * i for i in range(1, len(a)))
+
+
+def ip_neg_x(a):
     """a(-x)."""
     return tuple(c if i % 2 == 0 else -c for i, c in enumerate(a))
 
 
-def qp_up2(a):
+def ip_up2(a):
     """a(x^2)."""
     if not a:
         return ()
-    out = [_F0] * (2 * len(a) - 1)
-    for i, c in enumerate(a):
-        out[2 * i] = c
+    out = [0] * (2 * len(a) - 1)
+    out[::2] = a
     return tuple(out)
-
-
-def qp_down2(a):
-    """Inverse of qp_up2 for even polynomials."""
-    return qp_trim([a[i] for i in range(0, len(a), 2)])
-
-
-def qp_is_even(a):
-    return all(c == 0 for c in a[1::2])
 
 
 def qp_eval(a, x):
@@ -195,44 +171,85 @@ def qp_str(a, var):
 # ---------------------------------------------------------------------------
 # rational functions over Q
 
+def _rf(inum, iden, var):
+    """A RatFunc from integer tuples already in canonical form."""
+    r = object.__new__(RatFunc)
+    r.inum, r.iden, r.var = inum, iden, var
+    return r
+
+
+def _canonical(inum, iden):
+    """The canonical form of inum/iden, integer tuples with inum trimmed
+    and iden nonzero."""
+    if not inum:
+        return (), (1,)
+    if len(inum) > 1 and len(iden) > 1:
+        g = ip_gcd(inum, iden)
+        if len(g) > 1:
+            inum, iden = _ip_exact_quo(inum, g), _ip_exact_quo(iden, g)
+    c = _igcd(*inum, *iden)
+    if iden[-1] < 0:
+        c = -c
+    if c != 1:
+        inum = tuple(v // c for v in inum)
+        iden = tuple(v // c for v in iden)
+    return inum, iden
+
+
+def _rf_reduce(inum, iden, var):
+    return _rf(*_canonical(inum, iden), var)
+
+
+def _rf_signed(inum, iden, var):
+    """A RatFunc from coprime integer tuples without common content."""
+    if iden[-1] < 0:
+        inum, iden = tuple(-v for v in inum), tuple(-v for v in iden)
+    return _rf(inum, iden, var)
+
+
 class RatFunc:
     """A rational function over Q in canonical form.
 
-    The denominator is monic and coprime to the numerator; zero is ()/( 1 ).
-    The variable name is part of the value, so Q(x) and Q(u) do not mix.
+    ``inum`` and ``iden`` are integer coefficient tuples (ascending) that
+    are coprime, share no integer content, and give ``iden`` a positive
+    leading coefficient; zero is ()/(1,).  The form is unique, so equality
+    and hashing compare the tuples.  The variable name is part of the
+    value, so Q(x) and Q(u) do not mix.
     """
 
-    __slots__ = ("num", "den", "var")
+    __slots__ = ("inum", "iden", "var")
 
-    def __init__(self, num, den=(_F1,), var="x", _normalized=False):
-        self.var = var
-        if _normalized:
-            self.num, self.den = num, den
-            return
-        num = qp_trim(tuple(Fraction(c) for c in num))
-        den = qp_trim(tuple(Fraction(c) for c in den))
+    def __init__(self, num, den=(1,), var="x"):
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        scale = lcm(*(c.denominator for c in num + den))
+        num = qp_trim(c.numerator * (scale // c.denominator) for c in num)
+        den = qp_trim(c.numerator * (scale // c.denominator) for c in den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), (_F1,)
-            return
-        if len(num) > 1 and len(den) > 1:
-            g = qp_gcd(num, den)
-            if len(g) > 1:
-                num = qp_divmod(num, g)[0]
-                den = qp_divmod(den, g)[0]
-        inv_lc = 1 / den[-1]
-        self.num = tuple(c * inv_lc for c in num) if inv_lc != 1 else num
-        self.den = tuple(c * inv_lc for c in den) if inv_lc != 1 else den
+        self.inum, self.iden = _canonical(num, den)
+        self.var = var
 
     @classmethod
     def const(cls, q, var="x"):
         q = Fraction(q)
-        return cls((q,) if q else (), (_F1,), var, _normalized=True)
+        return _rf((q.numerator,) if q else (), (q.denominator,), var)
 
     @classmethod
     def gen(cls, var="x"):
-        return cls((_F0, _F1), (_F1,), var, _normalized=True)
+        return _rf((0, 1), (1,), var)
+
+    @property
+    def num(self):
+        """Numerator over the monic denominator, as Fractions."""
+        lc = self.iden[-1]
+        return tuple(Fraction(c, lc) for c in self.inum)
+
+    @property
+    def den(self):
+        """The monic denominator, as Fractions."""
+        lc = self.iden[-1]
+        return tuple(Fraction(c, lc) for c in self.iden)
 
     def _coerced(self, other):
         if not isinstance(other, RatFunc):
@@ -242,45 +259,44 @@ class RatFunc:
         return other
 
     def is_zero(self):
-        return not self.num
+        return not self.inum
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.inum)
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.var == other.var and self.num == other.num and self.den == other.den
+        return (self.inum == other.inum and self.iden == other.iden
+                and self.var == other.var)
 
     def __hash__(self):
-        return hash((self.var, self.num, self.den))
+        return hash((self.var, self.inum, self.iden))
 
     def __add__(self, other):
         if self._coerced(other) is None:
             return NotImplemented
-        if self.den == _DEN1 and other.den == _DEN1:
-            return RatFunc(qp_add(self.num, other.num), _DEN1, self.var, _normalized=True)
-        return RatFunc(qp_add(qp_mul(self.num, other.den), qp_mul(other.num, self.den)),
-                       qp_mul(self.den, other.den), self.var)
+        a, b, c, d = self.inum, self.iden, other.inum, other.iden
+        if b == d:
+            return _rf_reduce(ip_add(a, c), b, self.var)
+        return _rf_reduce(ip_add(ip_mul(a, d), ip_mul(c, b)), ip_mul(b, d), self.var)
 
     def __sub__(self, other):
         if self._coerced(other) is None:
             return NotImplemented
-        if self.den == _DEN1 and other.den == _DEN1:
-            return RatFunc(qp_add(self.num, qp_neg(other.num)), _DEN1, self.var,
-                           _normalized=True)
-        return RatFunc(qp_add(qp_mul(self.num, other.den), qp_neg(qp_mul(other.num, self.den))),
-                       qp_mul(self.den, other.den), self.var)
+        a, b, c, d = self.inum, self.iden, other.inum, other.iden
+        if b == d:
+            return _rf_reduce(ip_sub(a, c), b, self.var)
+        return _rf_reduce(ip_sub(ip_mul(a, d), ip_mul(c, b)), ip_mul(b, d), self.var)
 
     def __neg__(self):
-        return RatFunc(qp_neg(self.num), self.den, self.var, _normalized=True)
+        return _rf(tuple(-v for v in self.inum), self.iden, self.var)
 
     def __mul__(self, other):
         if self._coerced(other) is None:
             return NotImplemented
-        if self.den == _DEN1 and other.den == _DEN1:
-            return RatFunc(qp_mul(self.num, other.num), _DEN1, self.var, _normalized=True)
-        return RatFunc(qp_mul(self.num, other.num), qp_mul(self.den, other.den), self.var)
+        return _rf_reduce(ip_mul(self.inum, other.inum),
+                          ip_mul(self.iden, other.iden), self.var)
 
     def __truediv__(self, other):
         if self._coerced(other) is None:
@@ -288,30 +304,34 @@ class RatFunc:
         return self * other.inverse()
 
     def inverse(self):
-        if not self.num:
+        if not self.inum:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(self.den, self.num, self.var)
+        return _rf_signed(self.iden, self.inum, self.var)
 
     def derivative(self):
-        n, d = self.num, self.den
-        return RatFunc(qp_add(qp_mul(qp_deriv(n), d), qp_neg(qp_mul(n, qp_deriv(d)))),
-                       qp_mul(d, d), self.var)
+        n, d = self.inum, self.iden
+        if len(d) == 1:
+            return _rf_reduce(ip_deriv(n), d, self.var)
+        return _rf_reduce(ip_sub(ip_mul(ip_deriv(n), d), ip_mul(n, ip_deriv(d))),
+                          ip_mul(d, d), self.var)
 
+    # x -> x^2 and x -> -x keep numerator and denominator coprime (apply
+    # the substitution to a Bezout identity) and keep their content
     def subs_square(self):
         """r(x) -> r(x^2)."""
-        return RatFunc(qp_up2(self.num), qp_up2(self.den), self.var)
+        return _rf(ip_up2(self.inum), ip_up2(self.iden), self.var)
 
     def subs_neg(self):
         """r(x) -> r(-x)."""
-        return RatFunc(qp_neg_x(self.num), qp_neg_x(self.den), self.var)
+        return _rf_signed(ip_neg_x(self.inum), ip_neg_x(self.iden), self.var)
 
     def __str__(self):
-        if not self.num:
+        if not self.inum:
             return "0"
         ns = qp_str(self.num, self.var)
-        if self.den == (_F1,):
+        if len(self.iden) == 1:
             return ns
-        if len([c for c in self.num if c]) > 1:
+        if len([c for c in self.inum if c]) > 1:
             ns = f"({ns})"
         return f"{ns}/({qp_str(self.den, self.var)})"
 
@@ -492,38 +512,69 @@ class FFElement:
 # ---------------------------------------------------------------------------
 # rational quaternions
 
-class Quaternion:
-    """A quaternion with rational components a + b*i + c*j + d*k."""
+def _lowest(nums, den):
+    """An int 4-tuple over a positive int denominator, in lowest terms."""
+    g = _igcd(*nums, den)
+    if g == 1:
+        return nums, den
+    return tuple(v // g for v in nums), den // g
 
-    __slots__ = ("a", "b", "c", "d")
+
+def _quat(nums, den):
+    """A Quaternion from a 4-tuple and denominator already in lowest terms."""
+    q = object.__new__(Quaternion)
+    q.nums, q.den = nums, den
+    return q
+
+
+class Quaternion:
+    """A quaternion with rational components a + b*i + c*j + d*k.
+
+    Stored as the ints ``nums = (a, b, c, d)`` over one positive common
+    denominator ``den``, in lowest terms, so equal quaternions have equal
+    fields.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, a, b=0, c=0, d=0):
-        self.a, self.b, self.c, self.d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+        parts = [Fraction(v) for v in (a, b, c, d)]
+        den = lcm(*(p.denominator for p in parts))
+        self.nums, self.den = _lowest(
+            tuple(p.numerator * (den // p.denominator) for p in parts), den)
 
     def __add__(self, o):
         if not isinstance(o, Quaternion):
             return NotImplemented
-        return Quaternion(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        m, n = self.den, o.den
+        if m == n:
+            return _quat(*_lowest(tuple(x + y for x, y in zip(self.nums, o.nums)), m))
+        return _quat(*_lowest(tuple(x * n + y * m for x, y in zip(self.nums, o.nums)),
+                              m * n))
 
     def __sub__(self, o):
         if not isinstance(o, Quaternion):
             return NotImplemented
-        return Quaternion(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        m, n = self.den, o.den
+        if m == n:
+            return _quat(*_lowest(tuple(x - y for x, y in zip(self.nums, o.nums)), m))
+        return _quat(*_lowest(tuple(x * n - y * m for x, y in zip(self.nums, o.nums)),
+                              m * n))
 
     def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
+        return _quat(tuple(-v for v in self.nums), self.den)
 
     def __mul__(self, o):
         if not isinstance(o, Quaternion):
             return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return Quaternion(
+        a1, b1, c1, d1 = self.nums
+        a2, b2, c2, d2 = o.nums
+        return _quat(*_lowest((
             a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
             a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        ), self.den * o.den))
 
     def __truediv__(self, o):
         if not isinstance(o, Quaternion):
@@ -531,39 +582,47 @@ class Quaternion:
         return self * o.inverse()
 
     def conjugate(self):
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self.nums
+        return _quat((a, -b, -c, -d), self.den)
 
     def norm(self):
-        return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
+        a, b, c, d = self.nums
+        return Fraction(a * a + b * b + c * c + d * d, self.den * self.den)
 
     def trace(self):
-        return 2 * self.a
+        return Fraction(2 * self.nums[0], self.den)
 
     def inverse(self):
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero quaternion")
-        return Quaternion(self.a / n, -self.b / n, -self.c / n, -self.d / n)
+        # conj(nums)/den divided by n
+        a, b, c, d = self.nums
+        m = n.denominator
+        return _quat(*_lowest((a * m, -b * m, -c * m, -d * m),
+                              self.den * n.numerator))
 
     def is_zero(self):
-        return not (self.a or self.b or self.c or self.d)
+        return not any(self.nums)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_central(self):
-        return not (self.b or self.c or self.d)
+        return not any(self.nums[1:])
 
     def components(self):
-        return (self.a, self.b, self.c, self.d)
+        """(a, b, c, d) as Fractions."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums)
 
     def __eq__(self, o):
         if not isinstance(o, Quaternion):
             return NotImplemented
-        return self.components() == o.components()
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash(self.components())
+        return hash((self.nums, self.den))
 
     def __str__(self):
         parts = []
@@ -949,7 +1008,7 @@ class RatFuncContext(DivisionRingContext):
         return RatFunc.const(n, self.variable)
 
     def sort_key(self, a):
-        return (len(a.num), len(a.den), a.num, a.den)
+        return (len(a.inum), len(a.iden), a.num, a.den)
 
     def random_element(self, rng, nonzero=False):
         while True:
@@ -977,12 +1036,11 @@ class RatFuncContext(DivisionRingContext):
             return a
         # r lies in the image of x -> x^2 iff r(x) = r(-x); normalize to an
         # even denominator and test the numerator
-        dneg = qp_neg_x(a.den)
-        num = qp_mul(a.num, dneg)
-        den = qp_mul(a.den, dneg)
-        if not qp_is_even(num):
+        dneg = ip_neg_x(a.iden)
+        num = ip_mul(a.inum, dneg)
+        if any(num[1::2]):
             return None
-        return RatFunc(qp_down2(num), qp_down2(den), self.variable)
+        return _rf_reduce(num[::2], ip_mul(a.iden, dneg)[::2], self.variable)
 
     def _sample_elements(self):
         x = self.x
@@ -1030,7 +1088,7 @@ class QuaternionContext(DivisionRingContext):
         return a.components()
 
     def from_vec(self, vec):
-        return Quaternion(*[Fraction(v) for v in vec])
+        return Quaternion(*vec)
 
     def sort_key(self, a):
         return a.components()

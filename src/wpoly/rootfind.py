@@ -59,17 +59,12 @@ def rational_poly_roots(coeffs):
 # ---------------------------------------------------------------------------
 # sympy bridges for rational functions
 
-def _frac_to_sympy(fr):
-    return sympy.Rational(fr.numerator, fr.denominator)
-
-
-def _qp_to_sympy(coeffs, x):
-    return sum((_frac_to_sympy(c) * x**i for i, c in enumerate(coeffs)),
-               sympy.Integer(0))
-
-
 def _rf_to_sympy(a, x):
-    return _qp_to_sympy(a.num, x) / _qp_to_sympy(a.den, x)
+    """a with its denominator made monic, as a sympy expression in x."""
+    lc = a.iden[-1]
+    num, den = (sum((sympy.Rational(c, lc) * x**i for i, c in enumerate(p)),
+                    sympy.Integer(0)) for p in (a.inum, a.iden))
+    return num / den
 
 
 def _sympy_to_rf(expr, x, var):
@@ -125,10 +120,15 @@ def derivation_quadratic_roots(ctx, f):
     """Right roots of a monic quadratic over Q(x) with S = id, D = d/dx.
 
     A right root a satisfies the Riccati equation a' = -(q + p*a + a^2).
-    Parametric solution families are sampled at small parameter values and
-    at the parameter's limit at infinity; every candidate is verified by
-    exact evaluation.  The underlying solver is complete for rational
-    solutions, so an empty result means there are none.
+    The shift a = z - p/2 turns it into z' = c - z^2 with the invariant
+    c = p^2/4 + p'/2 - q.  When c is a nonzero rational constant, the
+    rational solutions are decided exactly: z = w'/w with w'' = c*w, so z
+    is rational only for w = exp(+-s*x), that is z = +-s where c = s^2, and
+    there is none when c is not a rational square.  Otherwise sympy's
+    solver runs; its parametric solution families are sampled at small
+    parameter values and at the parameter's limit at infinity.  Every
+    candidate is verified by exact evaluation.  Both routes are complete
+    for rational solutions, so an empty result means there are none.
 
     Returns (roots, parametric): parametric is True when a verified family
     makes the root set infinite, in which case roots holds samples.
@@ -138,6 +138,20 @@ def derivation_quadratic_roots(ctx, f):
     from .evaluate import evaluate
 
     p, q = f.coeff(1), f.coeff(0)
+    half = RatFunc.const(Fraction(1, 2), ctx.variable)
+    shift = -p * half
+    c = shift * shift - shift.derivative() - q
+    if c and len(c.inum) == 1 and len(c.iden) == 1:
+        n, d = c.inum[0], c.iden[0]
+        sn, sd = isqrt(max(n, 0)), isqrt(d)
+        roots = []
+        if sn * sn == n and sd * sd == d:
+            s = RatFunc.const(Fraction(sn, sd), ctx.variable)
+            roots = sorted((shift + s, shift - s), key=ctx.sort_key)
+        for r in roots:
+            if not ctx.is_zero(evaluate(f, r)):
+                raise AssertionError(f"Riccati root {r} of {f} fails evaluation")
+        return roots, False
     x = sympy.Symbol("x_")
     fx = sympy.Function("f_")(x)
     b0 = -_rf_to_sympy(q, x)

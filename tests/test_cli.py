@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from wpoly import cli
+import sympy
+
+from wpoly import cli, rootfind
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 
 
 def run(argv, capsys):
@@ -155,8 +158,16 @@ def test_quaternions_with_a_derivation_are_not_split(capsys):
     assert code == 0 and "verdict = IS_W" in out
 
 
-def test_riccati_solver_failure_is_not_split(capsys):
-    poly = "t^2 + [(-u+4)/(u+2)]*t + [-3u/(u^2+4u+4)]"
+def test_riccati_solver_failure_is_not_split(capsys, monkeypatch):
+    # the recorded inputs on which sympy's solver fails are now decided
+    # exactly (tests/test_rootfind.py); this one has a zero invariant, so
+    # it reaches the solver, which is made to fail the way it did on them
+    def failing_solver(*args):
+        raise sympy.PolynomialError("1/4 contains an element of the set of "
+                                    "generators")
+
+    monkeypatch.setattr(rootfind, "solve_riccati", failing_solver)
+    poly = "t^2 + [-2u]*t + [u^2-1]"
     code, out, _ = run(["is-wedderburn", "--ring", "Qu", "--D", "ddx", poly],
                        capsys)
     assert code == 0
@@ -171,6 +182,17 @@ def test_parametric_riccati_roots_list_samples(capsys):
                    "infinitely many roots; samples = {u, (u^2+1)/(u), "
                    "(u^2+u+1)/(u+1), (u^2+2u+1)/(u+2), (u^2+3u+1)/(u+3), "
                    "(u^2+4u+1)/(u+4)}\n")
+
+
+def test_golden_outputs_over_the_rational_rings(capsys):
+    # stdout of the text and --json forms of commands that print sorted
+    # Q(u), Q(x) and HQ elements, certificates and metro solutions, pinned
+    # verbatim: element formatting and sort_key order must not drift
+    cases = json.loads(GOLDEN.read_text())
+    assert len(cases) >= 60
+    for case in cases:
+        code, out, _ = run(case["argv"], capsys)
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_cli_import_leaves_numpy_out():

@@ -138,8 +138,8 @@ def test_quaternion_identities():
         p = hq.random_element(rng)
         q = hq.random_element(rng)
         assert (p * q).conjugate() == q.conjugate() * p.conjugate()
-        assert p.norm() == (p * p.conjugate()).a
-        assert p.trace() == (p + p.conjugate()).a
+        assert p.norm() == (p * p.conjugate()).components()[0]
+        assert p.trace() == (p + p.conjugate()).components()[0]
         if not hq.is_zero(p):
             assert p * p.inverse() == hq.one
     assert hq.one.is_central() and not i.is_central()

@@ -13,7 +13,7 @@ from wpoly.rootfind import (central_factor_candidates,
                             quaternion_candidate_classes,
                             quaternion_class_rep, rational_poly_roots,
                             ratfunc_classical_roots)
-from wpoly.parsing import parse_elements
+from wpoly.parsing import parse_elements, parse_polynomial
 from wpoly.rings import Quaternion, make_context
 from wpoly.skew import SkewPolynomial, product_of_linears
 from wpoly.wedderburn import IS_W, is_wedderburn, right_root_report
@@ -61,6 +61,35 @@ def test_derivation_quadratic_roots():
     g = SkewPolynomial(qu, (qu.x, qu.zero, qu.one))  # t^2 + u has no rational root
     roots, parametric = derivation_quadratic_roots(qu, g)
     assert roots == [] and not parametric
+
+
+@pytest.mark.parametrize("poly, roots", [
+    ("t^2 + [(-u+4)/(u+2)]*t + [-3u/(u^2+4u+4)]", ["(u-1)/(u+2)", "-3/(u+2)"]),
+    ("t^2 + [(-u+5)/(u-1)]*t + [(-2u+4)/(u^2-2u+1)]",
+     ["(u-3)/(u-1)", "-2/(u-1)"]),
+])
+def test_riccati_with_constant_invariant(poly, roots):
+    # the invariant a = b0 + b1^2/4 - b1'/2 is the constant 1/4 on both;
+    # sympy's Riccati solver fails on them, the exact route answers
+    qu = BACKENDS["Qu"]
+    f = parse_polynomial(poly, qu)
+    want = parse_elements(", ".join(roots), qu)
+    got, parametric = derivation_quadratic_roots(qu, f)
+    assert not parametric and set(got) == set(want)
+    cert = is_wedderburn(f)
+    assert cert.verdict == IS_W and len(cert.roots) == 2
+    assert cert.recheck()
+
+
+def test_riccati_constant_invariant_square_or_not():
+    # a = 2 and a = -1 are not rational squares: no rational root;
+    # a = 4 gives the roots -2 and 2 (the same answers as sympy's solver)
+    qu = BACKENDS["Qu"]
+    for poly, want in (("t^2 + [-2]", []), ("t^2 + [1]", []),
+                       ("t^2 + [-4]", ["-2", "2"])):
+        got, parametric = derivation_quadratic_roots(
+            qu, parse_polynomial(poly, qu))
+        assert [str(r) for r in got] == want and not parametric
 
 
 def test_norm_polynomial_is_central():
@@ -132,7 +161,7 @@ def test_quaternion_candidate_classes_cover_roots():
 def _class_tag(r):
     """Tag of the central minimal polynomial of a quaternion's class."""
     if r.is_central():
-        return ("lin", r.a)
+        return ("lin", r.components()[0])
     return ("quad", r.trace(), r.norm())
 
 
