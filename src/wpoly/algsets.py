@@ -62,13 +62,10 @@ def is_p_dependent(ctx, d, elements) -> bool:
 
 
 def is_p_independent(ctx, elements) -> bool:
-    """No generator is P-dependent on the remaining ones."""
-    elems = _check_distinct(ctx, elements)
-    for i, d in enumerate(elems):
-        rest = elems[:i] + elems[i + 1:]
-        if is_p_dependent(ctx, d, rest):
-            return False
-    return True
+    """No generator is P-dependent on the remaining ones, that is, the rank
+    of the set equals its size."""
+    elems = tuple(elements)
+    return minimal_polynomial(ctx, elems).rank == len(elems)
 
 
 def closure(ctx, elements, domain=None):

@@ -418,6 +418,9 @@ def _cmd_batch(args):
             code = main(shlex.split(line))
         except SystemExit as exc:  # argparse rejects one line, keep going
             code = exc.code if isinstance(exc.code, int) else 2
+        except ValueError as exc:  # shlex cannot split one line, keep going
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
         worst = max(worst, code)
     return worst
 

@@ -23,17 +23,23 @@ def power_functions(ctx, a, n):
     return out
 
 
+def _lambda_sum(f, a, x):
+    """sum_i b_i Lambda_i(x) for f = sum_i b_i t^i, where Lambda_0(x) = x and
+    Lambda_{i+1}(x) = S(Lambda_i(x))*a + D(Lambda_i(x)); Lambda_i(1) = N_i(a)."""
+    ctx = f.ctx
+    lam = x
+    acc = ctx.zero
+    for i, b in enumerate(f.coeffs):
+        if i:
+            lam = ctx.S(lam) * a + ctx.D(lam)
+        if not ctx.is_zero(b):
+            acc = acc + b * lam
+    return acc
+
+
 def evaluate(f, a):
     """Right evaluation f(a)."""
-    ctx = f.ctx
-    if f.is_zero():
-        return ctx.zero
-    powers = power_functions(ctx, a, f.degree)
-    acc = ctx.zero
-    for b, n in zip(f.coeffs, powers):
-        if not ctx.is_zero(b):
-            acc = acc + b * n
-    return acc
+    return _lambda_sum(f, a, f.ctx.one)
 
 
 def conjugate(ctx, a, c):
@@ -154,22 +160,12 @@ def coset_check(f, roots):
 # base-linear matrices attached to evaluation maps
 
 def lambda_matrix(ctx, f, a):
-    """Base-field matrix of x -> sum_i b_i Lambda_i(x) where Lambda_0 = id
-    and Lambda_{i+1}(x) = S(Lambda_i(x))*a + D(Lambda_i(x)).
+    """Base-field matrix of x -> sum_i b_i Lambda_i(x) (see _lambda_sum).
 
     For x != 0, Lambda_i(x) = N_i(a^x)*x, so the kernel is the exponential
     space E(f, a) = {0} u {x : f(a^x) = 0}.
     """
-    def image(x):
-        lam = x
-        acc = ctx.zero
-        for i, b in enumerate(f.coeffs):
-            if i:
-                lam = ctx.S(lam) * a + ctx.D(lam)
-            if not ctx.is_zero(b):
-                acc = acc + b * lam
-        return acc
-    return ctx.base_matrix(image)
+    return ctx.base_matrix(lambda x: _lambda_sum(f, a, x))
 
 
 def stabilizer_matrix(ctx, a):

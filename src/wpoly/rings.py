@@ -129,13 +129,6 @@ def ip_up2(a):
     return tuple(out)
 
 
-def qp_eval(a, x):
-    acc = _F0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def _term_str(coeff, var, power):
     if power == 0:
         return str(coeff)
@@ -1025,11 +1018,6 @@ class RatFuncContext(DivisionRingContext):
 
     def _apply_ddx(self, a):
         return a.derivative()
-
-    def s_image_contains(self, a):
-        if self.s_desc[0] == "id":
-            return True
-        return self.s_preimage(a) is not None
 
     def s_preimage(self, a):
         if self.s_desc[0] == "id":

@@ -1,11 +1,11 @@
 """Exact right-root search engines for the infinite coefficient rings.
 
-Three independent machines live here: the rational-root theorem over Q,
-bivariate factorization for untwisted rational-function rings, a Riccati
-solver for quadratics twisted by d/dx, and the quaternion class machinery
-(norm polynomial, its central factors of degree <= 2 from exact
-factorization over Z, class representatives from sum-of-squares
-decompositions).
+Four machines live here: rational roots over Q, read off the linear
+factors of the exact factorization over Z; bivariate factorization for
+untwisted rational-function rings; a Riccati solver for quadratics twisted
+by d/dx; and the quaternion class machinery (norm polynomial, its central
+factors of degree <= 2 from the same factorization over Z, class
+representatives from sum-of-squares decompositions).
 """
 
 from __future__ import annotations
@@ -18,42 +18,20 @@ from sympy.solvers.diophantine.diophantine import sum_of_squares
 from sympy.solvers.ode.riccati import solve_riccati
 
 from .errors import NotSplitError
-from .rings import (
-    Quaternion,
-    RatFunc,
-    _qp_to_int,
-    qp_eval,
-    qp_trim,
-)
+from .rings import Quaternion, RatFunc, _qp_to_int, qp_trim
 from .skew import SkewPolynomial
-
-_F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
-# rationals: complete via the rational root theorem
+# rationals: the linear factors of the exact factorization over Z
 
 def rational_poly_roots(coeffs):
-    """All rational roots of a nonzero polynomial with Fraction coefficients."""
-    c = qp_trim(coeffs)
-    if not c:
+    """All rational roots of a nonzero polynomial with Fraction coefficients,
+    sorted; they are the roots of its linear factors over Z."""
+    if not qp_trim(coeffs):
         raise ValueError("zero polynomial")
-    roots = []
-    shift = 0
-    while not c[0]:
-        shift += 1
-        c = c[1:]
-    if shift:
-        roots.append(_F0)
-    if len(c) > 1:
-        ints = _qp_to_int(c)
-        for p in sympy.divisors(abs(ints[0])):
-            for q in sympy.divisors(abs(ints[-1])):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if qp_eval(c, cand) == 0 and cand not in roots:
-                        roots.append(cand)
-    roots.sort()
-    return roots
+    return sorted(c[1] for c in central_factor_candidates(coeffs)
+                  if c[0] == "lin")
 
 
 # ---------------------------------------------------------------------------

@@ -378,38 +378,23 @@ def dual_representation(ctx, basis):
 def monic_factors(f, degree=None):
     """All monic p with f = p1 * p * p2 for monic p1, p2; finite contexts.
 
-    With degree given, only factors of that exact degree are returned.
-    Factors of degree deg(f) - 1 admit only a linear p1 or p2, so they are
-    read off left and right quotients directly; other degrees search over
-    monic right cofactors.
+    With degree given, only factors of that exact degree are returned.  For
+    each monic right divisor p2 of f, the factors are the monic right
+    divisors of the left cofactor f / p2 (p1 = 1 when p is the whole
+    cofactor).
     """
-    ctx = f.ctx
     n = f.degree
+    wanted = [d for d in ([degree] if degree is not None else range(1, n + 1))
+              if 1 <= d <= n]
     found = []
-    def add(p):
-        if not any(p == q for q in found):
-            found.append(p)
-    degrees = [degree] if degree is not None else list(range(1, n + 1))
-    for dp in degrees:
-        if dp < 1 or dp > n:
-            continue
-        if dp == n:
-            add(f)
-        elif dp == n - 1:
-            for b in ctx.elements():
-                lin = SkewPolynomial.linear(ctx, b)
-                q, r = f.right_divmod(lin)
-                if r.is_zero():
-                    add(q)
-                div = f.left_divmod(lin)
-                if div is not None and div[1].is_zero():
-                    add(div[0])
-        else:
-            for d2 in range(n - dp):
-                for p2 in monic_right_divisors(f, d2):
-                    quot = f.right_divmod(p2)[0]
+    for d2 in range(n):
+        for p2 in monic_right_divisors(f, d2):
+            quot = f.right_divmod(p2)[0]
+            for dp in wanted:
+                if dp <= n - d2:
                     for p in monic_right_divisors(quot, dp):
-                        add(p)
+                        if not any(p == q for q in found):
+                            found.append(p)
     return found
 
 
@@ -557,34 +542,20 @@ def product_theorem_check(g, h) -> ProductTheoremReport:
     g_w = is_wedderburn(g).is_w
     h_w = is_wedderburn(h).is_w
     bezout = phi_cover = quad = None
+    if ctx.finite or ctx.kind == "HQ":
+        rg, rh = right_root_report(g), left_root_report(h)
+        if rg.finite and rh.finite:
+            quad = all(is_wedderburn(SkewPolynomial.linear(ctx, a)
+                                     * SkewPolynomial.linear(ctx, b)).is_w
+                       for a in rg.roots for b in rh.roots)
     if ctx.finite:
         bezout = _bezout_one_membership(g, h) if f.degree else True
-        vg = right_root_report(g).roots
         image = set()
         for x in ctx.elements():
             y = phi_transform(h, x)
             if y is not None:
                 image.add(y)
-        phi_cover = all(a in image for a in vg)
-        vph = left_roots(h)
-        quad = True
-        for a in vg:
-            for b in vph:
-                pair = (SkewPolynomial.linear(ctx, a)
-                        * SkewPolynomial.linear(ctx, b))
-                if not is_wedderburn(pair).is_w:
-                    quad = False
-    elif ctx.kind == "HQ":
-        rg = right_root_report(g)
-        rh = left_root_report(h)
-        if rg.finite and rh.finite:
-            quad = True
-            for a in rg.roots:
-                for b in rh.roots:
-                    pair = (SkewPolynomial.linear(ctx, a)
-                            * SkewPolynomial.linear(ctx, b))
-                    if not is_wedderburn(pair).is_w:
-                        quad = False
+        phi_cover = all(a in image for a in rg.roots)
     return ProductTheoremReport(g, h, product_w, g_w, h_w,
                                 bezout, phi_cover, quad)
 

@@ -6,7 +6,7 @@ from helpers import backend_contexts, random_set, rng_for
 from wpoly.algsets import (closure, is_full, is_p_dependent, is_p_independent,
                            minimal_polynomial, rank)
 from wpoly.errors import DomainRequiredError
-from wpoly.evaluate import evaluate
+from wpoly.evaluate import conjugate, evaluate
 from wpoly.skew import SkewPolynomial
 
 BACKENDS = backend_contexts()
@@ -145,3 +145,26 @@ def test_quaternion_class_rank_is_two():
         hq, (hq.one, hq.zero, hq.one))
     # and a third class member adds nothing
     assert rank(hq, [hq.i, -hq.i, hq.j]) == 2
+
+
+@pytest.mark.parametrize("name", ["F8", "F8-inner", "HQ"])
+def test_p_independence_matches_per_element_definition(name):
+    ctx = BACKENDS[name]
+    rng = rng_for(name, 36)
+    verdicts = set()
+    for _ in range(12):
+        elems = random_set(ctx, rng, rng.randint(2, 4))
+        if rng.random() < 0.5:
+            # conjugates of one member make dependent sets common
+            for _ in range(2):
+                c = ctx.random_element(rng, nonzero=True)
+                x = conjugate(ctx, elems[0], c)
+                if all(x != b for b in elems):
+                    elems.append(x)
+        expected = not any(
+            is_p_dependent(ctx, d, elems[:i] + elems[i + 1:])
+            for i, d in enumerate(elems))
+        got = is_p_independent(ctx, elems)
+        assert got == expected, [str(a) for a in elems]
+        verdicts.add(got)
+    assert verdicts == {True, False}

@@ -254,6 +254,15 @@ def test_batch_runs_lines_and_keeps_worst_exit(capsys, tmp_path):
         "closure-member --ring HQ --strict j i\n")
     code, out, _ = run(["batch", str(script)], capsys)
     assert code == 1
+    # a line shlex cannot split is reported, and the lines after it still run
+    script.write_text(
+        "eval --ring HQ \"t^2 + [1]\" i\n"
+        "eval --ring F4 -- 't + [1] 'w'\n"
+        "eval --ring HQ \"t^2 + [1]\" j\n")
+    code, out, err = run(["batch", str(script)], capsys)
+    assert code == 2
+    assert out.count("f(a) = 0") == 2
+    assert err.strip() == "error: No closing quotation"
 
 
 def test_readme_cli_examples_run(capsys):

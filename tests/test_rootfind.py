@@ -1,8 +1,10 @@
 """Classical root engines behind the infinite-ring searches."""
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,19 +23,81 @@ from wpoly.wedderburn import IS_W, is_wedderburn, right_root_report
 BACKENDS = backend_contexts()
 
 
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
 def test_rational_poly_roots():
     # (x - 2)(x + 1/3)(x^2 + 1) -> roots 2 and -1/3
     f = Fraction
     p = [f(1)]
     for root_poly in ([f(-2), f(1)], [f(1, 3), f(1)], [f(1), f(0), f(1)]):
-        q = [f(0)] * (len(p) + len(root_poly) - 1)
-        for a, ca in enumerate(p):
-            for b, cb in enumerate(root_poly):
-                q[a + b] += ca * cb
-        p = q
+        p = _poly_mul(p, root_poly)
     assert rational_poly_roots(tuple(p)) == [f(-1, 3), f(2)]
     assert rational_poly_roots((f(0), f(0), f(1))) == [f(0)]
     assert rational_poly_roots((f(1),)) == []
+    with pytest.raises(ValueError):
+        rational_poly_roots((f(0), f(0)))
+
+
+def _rational_root_theorem(coeffs):
+    """Reference: every candidate +-p/q, p dividing the constant and q the
+    leading coefficient of the integer form, tested by Horner evaluation."""
+    c = list(coeffs)
+    roots = set()
+    while not c[0]:
+        roots.add(Fraction(0))
+        c = c[1:]
+    scale = math.lcm(*(v.denominator for v in c))
+    ints = [int(v * scale) for v in c]
+    for p in sympy.divisors(abs(ints[0])):
+        for q in sympy.divisors(abs(ints[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                acc = Fraction(0)
+                for v in reversed(c):
+                    acc = acc * cand + v
+                if acc == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def test_rational_poly_roots_match_rational_root_theorem():
+    rng = rng_for("rational-roots", 7)
+    irreducible = ([2, 0, 1], [-3, 0, 1], [1, 1, 1], [5, -2, 3])
+    seen = set()
+    for _ in range(200):
+        coeffs = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                           rng.randint(1, 7))]
+        target = rng.randint(1, 7)
+        while len(coeffs) - 1 < target:
+            kind = rng.choice(("root", "root", "double", "zero", "quad",
+                               "random"))
+            if kind in ("root", "double"):
+                lin = [Fraction(-rng.randint(-9, 9)), Fraction(rng.randint(1, 6))]
+                factors = [lin] * (2 if kind == "double" else 1)
+            elif kind == "zero":
+                factors = [[Fraction(0), Fraction(1)]]
+            elif kind == "quad":
+                factors = [[Fraction(v) for v in rng.choice(irreducible)]]
+            else:  # a quadratic that may or may not split over Q
+                factors = [[Fraction(rng.randint(-6, 6)),
+                            Fraction(rng.randint(-6, 6)),
+                            Fraction(rng.randint(1, 4))]]
+            if len(coeffs) - 1 + sum(len(fac) - 1 for fac in factors) <= target:
+                for fac in factors:
+                    coeffs = _poly_mul(coeffs, fac)
+                seen.add(kind)
+        got = rational_poly_roots(tuple(coeffs))
+        assert got == _rational_root_theorem(coeffs), coeffs
+        if not got:
+            seen.add("none")
+        if coeffs[0] == coeffs[1] == 0:
+            seen.add("zero-multiple")
+    assert seen >= {"double", "zero-multiple", "quad", "none"}
 
 
 def test_ratfunc_classical_roots():

@@ -1,11 +1,14 @@
 """Recognition of minimal polynomials and the supporting theorems."""
 
+import itertools
+
 import pytest
 
 from helpers import backend_contexts, random_poly, random_set, rng_for
 from wpoly.algsets import minimal_polynomial, rank
 from wpoly.errors import DisjointnessError, NotPIndependentError, NotSplitError
 from wpoly.evaluate import conjugacy_class_reps, conjugate, evaluate
+from wpoly.parsing import parse_polynomial
 from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial, monic_polynomials, product_of_linears
 from wpoly.wedderburn import (IS_W, NOT_W, centralizer, diagonalization_check,
@@ -253,6 +256,24 @@ def test_monic_factors_f4_square():
     f = product_of_linears(f4, [f4.one, f4.one])
     got = {str(p) for p in monic_factors(f)}
     assert got == {"t + [1]", "t + [w]", "t + [w+1]", "t^2 + [1]"}
+    # t + [w] is only a left factor (p1 = 1) of this cubic
+    f = parse_polynomial("t^3 + [w+1]*t^2 + [w]*t", f4)
+    assert "t + [w]" in {str(p) for p in monic_factors(f)}
+    # reference: every product p1 * p * p2 of monic factors with deg p >= 1
+    n = 3
+    brute = {}
+    for d1 in range(n):
+        for dp in range(1, n - d1 + 1):
+            for p1, p, p2 in itertools.product(
+                    monic_polynomials(f4, d1), monic_polynomials(f4, dp),
+                    monic_polynomials(f4, n - d1 - dp)):
+                brute.setdefault(str(p1 * p * p2), set()).add(str(p))
+    cubics = list(monic_polynomials(f4, n))
+    assert len(brute) == len(cubics) == 64
+    for f in cubics:
+        found = [str(p) for p in monic_factors(f)]
+        assert len(found) == len(set(found))
+        assert set(found) == brute[str(f)], str(f)
 
 
 def test_factor_theorem_consistency():
