@@ -415,10 +415,13 @@ def _cmd_batch(args):
             continue
         print(f"$ {line}")
         try:
-            code = main(shlex.split(line))
+            argv = shlex.split(line)
+            if argv[:1] == ["batch"]:  # a file could include itself
+                raise ValueError("batch cannot run inside a batch file")
+            code = main(argv)
         except SystemExit as exc:  # argparse rejects one line, keep going
             code = exc.code if isinstance(exc.code, int) else 2
-        except ValueError as exc:  # shlex cannot split one line, keep going
+        except ValueError as exc:  # one line cannot run, keep going
             print(f"error: {exc}", file=sys.stderr)
             code = 2
         worst = max(worst, code)

@@ -166,9 +166,3 @@ def lambda_matrix(ctx, f, a):
     space E(f, a) = {0} u {x : f(a^x) = 0}.
     """
     return ctx.base_matrix(lambda x: _lambda_sum(f, a, x))
-
-
-def stabilizer_matrix(ctx, a):
-    """Base-field matrix of c -> S(c)*a + D(c) - a*c, whose kernel together
-    with zero is the (S,D)-centralizer of a."""
-    return ctx.base_matrix(lambda c: ctx.S(c) * a + ctx.D(c) - a * c)

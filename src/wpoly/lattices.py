@@ -4,11 +4,14 @@ Everything here is restricted to finitely enumerable coefficient rings.
 There the whole ring is algebraic, both lattices are finite, and every
 structural claim (order reversal, modularity, dimension laws, interval
 isomorphism) can be verified node by node instead of taken on faith.
+
+A subset is an int bitset, bit i standing for the i-th element in sort_key
+order.  The P-closures of all 2^q subsets are tabulated once per call, and
+inclusion, intersection and the closure of a union are read off the table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algsets import closure, is_full, is_p_dependent, minimal_polynomial
@@ -150,57 +153,59 @@ def hasse_edges(lattice: FiniteLattice):
 # ---------------------------------------------------------------------------
 # construction over a finite ring
 
-def _sorted_elems(ctx):
-    return sorted(ctx.elements(), key=ctx.sort_key)
+def _members(elems, mask):
+    """The elements that a bitset picks out of elems, in order."""
+    return tuple(elems[i] for i in _bits(mask))
 
 
-def _all_subsets(elems):
-    for r in range(len(elems) + 1):
-        yield from itertools.combinations(elems, r)
+def _closure_table(ctx, what):
+    """The elements of a finite ring in sort_key order, and the P-closure of
+    every subset as a bitset: table[m] is the closure of the subset m."""
+    if not ctx.finite:
+        raise CapabilityMissingError(f"{what} needs a finite ring")
+    elems = sorted(ctx.elements(), key=ctx.sort_key)
+    bit = {a: 1 << i for i, a in enumerate(elems)}
+    table = [sum(bit[a] for a in closure(ctx, _members(elems, m)))
+             for m in range(1 << len(elems))]
+    return elems, table
 
 
 def full_set_nodes(ctx):
     """All full algebraic subsets, as sorted tuples, with their minimal
-    polynomials.  Every full set is its own closure, so the closures of all
-    subsets enumerate them exactly."""
-    if not ctx.finite:
-        raise CapabilityMissingError("full-set enumeration needs a finite ring")
-    elems = _sorted_elems(ctx)
-    out = {}
-    for subset in _all_subsets(elems):
-        cl = closure(ctx, list(subset))
-        if cl not in out:
-            out[cl] = minimal_polynomial(ctx, list(cl)).poly
-    return out
+    polynomials.  A full set is its own closure, so the distinct values of
+    the closure table are exactly the full sets."""
+    elems, table = _closure_table(ctx, "full-set enumeration")
+    return {s: minimal_polynomial(ctx, s).poly
+            for s in (_members(elems, m) for m in sorted(set(table)))}
 
 
 def build_full_lattice(ctx) -> FiniteLattice:
     """Lattice of full algebraic subsets: order by inclusion, meet by
-    intersection, join by closure of the union."""
-    polys = full_set_nodes(ctx)
-    nodes = sorted(polys,
-                   key=lambda s: (polys[s].degree,
-                                  [ctx.sort_key(a) for a in s]))
-
-    def leq_fn(a, b):
-        bset = set(b)
-        return all(x in bset for x in a)
-
-    def bounds_fn(a, b):
-        aset, bset = set(a), set(b)
-        return (tuple(x for x in a if x in bset),
-                closure(ctx, list(a) + [x for x in b if x not in aset]))
-
-    return FiniteLattice.from_functions("full-sets", ctx, nodes,
-                                        leq_fn, bounds_fn)
+    intersection, join by closure of the union, all read off the closure
+    table.  Nodes are sorted tuples, by rank and then element order."""
+    elems, table = _closure_table(ctx, "full-set enumeration")
+    rank = {m: minimal_polynomial(ctx, _members(elems, m)).rank
+            for m in set(table)}
+    masks = sorted(rank, key=lambda m: (rank[m], list(_bits(m))))
+    index = {m: i for i, m in enumerate(masks)}
+    up = [sum(1 << j for j, b in enumerate(masks) if not a & ~b)
+          for a in masks]
+    meet = [[index[a & b] for b in masks] for a in masks]
+    join = [[index[table[a | b]] for b in masks] for a in masks]
+    return FiniteLattice("full-sets", ctx,
+                         [_members(elems, m) for m in masks], up, meet, join)
 
 
 def build_w_lattice(ctx) -> FiniteLattice:
     """Lattice of the minimal polynomials of subsets of K, ordered by
     left-ideal inclusion: f <= h exactly when h right-divides f.  Meet is
-    the least common left multiple, join the greatest common right divisor."""
-    polys = full_set_nodes(ctx)
-    nodes = sorted(set(polys.values()),
+    the least common left multiple, join the greatest common right divisor.
+    A subset and its closure share their minimal polynomial, so the nodes
+    come from all 2^q subsets without any closure."""
+    elems = list(ctx.elements())
+    polys = {minimal_polynomial(ctx, _members(elems, m)).poly
+             for m in range(1 << len(elems))}
+    nodes = sorted(polys,
                    key=lambda p: (p.degree,
                                   [ctx.sort_key(c) for c in p.coeffs]))
 
@@ -425,35 +430,24 @@ def modular_law_check(ctx, gamma, pi, delta, domain=None) -> ModularLawReport:
 def modular_law_sweep(ctx):
     """Exhaustive modular-law verification over a finite ring.
 
-    Runs over every full gamma, every full pi, and every delta inside gamma;
-    P-dependence of x on a set is membership of x in the set's closure, so
-    all closures are cached by subset.  Returns (triples, violations).
+    Runs over every full gamma, every full pi, and every delta inside gamma,
+    all as bitsets.  P-dependence of x on a set is membership of x in the
+    set's closure, so the violations of a triple are the bits of gamma in
+    table[pi | delta] but not in table[(gamma & pi) | delta].  The full sets
+    are the fixed points of the closure table.  Returns (triples, violations).
     """
-    if not ctx.finite:
-        raise CapabilityMissingError("the exhaustive sweep needs a finite ring")
-    elems = _sorted_elems(ctx)
-    closures = {}
-
-    def closure_of(fs):
-        got = closures.get(fs)
-        if got is None:
-            got = frozenset(closure(ctx, list(fs)))
-            closures[fs] = got
-        return got
-
-    subsets = [frozenset(s) for s in _all_subsets(elems)]
-    fulls = [fs for fs in subsets if closure_of(fs) == fs]
+    _, table = _closure_table(ctx, "the exhaustive sweep")
+    fulls = [m for m, cl in enumerate(table) if cl == m]
     triples = violations = 0
     for gamma in fulls:
-        gamma_subsets = [frozenset(s)
-                         for s in _all_subsets(sorted(gamma, key=ctx.sort_key))]
         for pi in fulls:
             inter = gamma & pi
-            for delta in gamma_subsets:
+            delta = gamma
+            while True:  # every submask of gamma, down to the empty set
                 triples += 1
-                big = closure_of(pi | delta)
-                small = closure_of(inter | delta)
-                for x in gamma:
-                    if x in big and x not in small:
-                        violations += 1
+                violations += (gamma & table[pi | delta]
+                               & ~table[inter | delta]).bit_count()
+                if not delta:
+                    break
+                delta = (delta - 1) & gamma
     return triples, violations

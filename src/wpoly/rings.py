@@ -710,8 +710,9 @@ class DivisionRingContext:
         self.s_desc = s_desc
         self.d_desc = d_desc
         self._validate()
-        if d_desc[0] == "inner" and self.commutative and self.s_is_identity:
-            # d*a - S(a)*d = d*a - a*d vanishes identically
+        if (d_desc[0] == "inner" and self.s_is_identity
+                and (self.commutative or d_desc[1].is_central())):
+            # d*a - S(a)*d = d*a - a*d vanishes identically for central d
             self.d_desc = ("zero",)
         if self.d_desc[0] != "zero":
             self._check_sd_samples()

@@ -109,9 +109,9 @@ def derivation_quadratic_roots(ctx, f):
     for rational solutions, so an empty result means there are none.
 
     Returns (roots, parametric): parametric is True when a verified family
-    makes the root set infinite, in which case roots holds samples.
-    Raises NotSplitError when the solver itself fails, since the search is
-    then not complete.
+    makes the root set infinite, in which case roots holds samples.  The
+    solver's "no rational solution" error proves there is none; any other
+    failure raises NotSplitError, since the search is then not complete.
     """
     from .evaluate import evaluate
 
@@ -136,9 +136,12 @@ def derivation_quadratic_roots(ctx, f):
     b1 = -_rf_to_sympy(p, x)
     try:
         sols = solve_riccati(fx, x, b0, b1, sympy.Integer(-1))
-    except sympy.PolynomialError:
-        raise NotSplitError(
-            f"sympy's Riccati solver failed on the equation of {f}") from None
+    except Exception as exc:
+        # the message proves no rational root: a condition fails at a pole
+        if str(exc) != "Rational Solution doesn't exist":
+            raise NotSplitError("sympy's Riccati solver failed on the "
+                                f"equation of {f}") from None
+        sols = []
     roots = []
     def consider(expr):
         cand = _sympy_to_rf(expr, x, ctx.variable)

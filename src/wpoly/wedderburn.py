@@ -30,7 +30,6 @@ from .evaluate import (
     phi_transform,
     power_functions,
     right_roots,
-    stabilizer_matrix,
 )
 from .rings import RationalContext
 from .rootfind import (
@@ -49,11 +48,13 @@ NOT_W = "NOT_W"
 # centralizers and exponential spaces
 
 def centralizer(ctx, a):
-    """Base-field basis of C_a = {0} u {c != 0 : a^c = a}."""
+    """Base-field basis of C_a = {0} u {c != 0 : a^c = a}, which is the
+    exponential space E(t - a, a)."""
     if ctx.base is None:
         raise CapabilityMissingError(
             f"{ctx.name} is not finite dimensional over a central subfield")
-    ker = linalg.kernel(stabilizer_matrix(ctx, a), ctx.base)
+    matrix = lambda_matrix(ctx, SkewPolynomial.linear(ctx, a), a)
+    ker = linalg.kernel(matrix, ctx.base)
     return tuple(ctx.from_vec(v) for v in ker)
 
 
@@ -188,7 +189,7 @@ def right_root_report(f) -> RootReport:
         roots = tuple(rational_poly_roots(f.coeffs))
         return RootReport(f, True, roots, (), "rational-root-theorem")
     if ctx.kind == "HQ":
-        if ctx.d_desc[0] != "zero" and not ctx.d_desc[1].is_central():
+        if ctx.d_desc[0] != "zero":
             raise NotSplitError(
                 f"the quaternion root engine assumes D = 0, not {ctx.describe()}")
         classes = _quaternion_root_classes(f)

@@ -174,6 +174,21 @@ def test_riccati_solver_failure_is_not_split(capsys, monkeypatch):
     assert out.startswith("NOT_SPLIT: sympy's Riccati solver failed")
 
 
+def test_riccati_without_rational_solution_is_decided(capsys):
+    # sympy's "Rational Solution doesn't exist" proves there is no root
+    qu = ["--ring", "Qu", "--D", "ddx"]
+    code, out, _ = run(["is-wedderburn", *qu, "t^2 + [1/u]"], capsys)
+    assert code == 0
+    assert out == ("verdict = NOT_W\n"
+                   "minimal polynomial of V(f): [1]\n"
+                   "certificate recheck: pass\n")
+    for poly in ("t^2 + [1/u]", "[u]*t^2 + [1]"):
+        code, out, _ = run(["roots", *qu, poly], capsys)
+        assert (code, out) == (0, "method: riccati\nroots = {}\n"), poly
+    code, out, _ = run(["split", *qu, "t^2 + [1/u]"], capsys)
+    assert code == 0 and out.startswith("NOT_SPLIT: ")
+
+
 def test_parametric_riccati_roots_list_samples(capsys):
     code, out, _ = run(["roots", "--ring", "Qu", "--D", "ddx",
                         "t^2 + [-2u]*t + [u^2-1]"], capsys)
@@ -184,12 +199,13 @@ def test_parametric_riccati_roots_list_samples(capsys):
                    "(u^2+4u+1)/(u+4)}\n")
 
 
-def test_golden_outputs_over_the_rational_rings(capsys):
+def test_golden_cli_outputs(capsys):
     # stdout of the text and --json forms of commands that print sorted
-    # Q(u), Q(x) and HQ elements, certificates and metro solutions, pinned
-    # verbatim: element formatting and sort_key order must not drift
+    # Q(u), Q(x) and HQ elements, certificates and metro solutions, and of
+    # F4 lattice build/check under S = id, frob and D = 0, inner(w), pinned
+    # verbatim: element formatting, sort_key and node order must not drift
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) >= 60
+    assert len(cases) >= 88
     for case in cases:
         code, out, _ = run(case["argv"], capsys)
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
@@ -263,6 +279,19 @@ def test_batch_runs_lines_and_keeps_worst_exit(capsys, tmp_path):
     assert code == 2
     assert out.count("f(a) = 0") == 2
     assert err.strip() == "error: No closing quotation"
+
+
+def test_batch_line_inside_batch_is_refused(capsys, tmp_path):
+    # a file that runs itself would recurse until RecursionError
+    script = tmp_path / "self.txt"
+    script.write_text(
+        "eval --ring HQ \"t^2 + [1]\" i\n"
+        f"batch {script}\n"
+        "eval --ring HQ \"t^2 + [1]\" j\n")
+    code, out, err = run(["batch", str(script)], capsys)
+    assert code == 2
+    assert out.count("$ ") == 3 and out.count("f(a) = 0") == 2
+    assert err.strip() == "error: batch cannot run inside a batch file"
 
 
 def test_readme_cli_examples_run(capsys):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from wpoly import lattices
+from wpoly.algsets import closure
 from wpoly.errors import CapabilityMissingError, NotFullError
 from wpoly.lattices import (FiniteLattice, build_full_lattice, build_w_lattice,
                             duality_check, full_set_nodes, gcd_vs_intersection,
@@ -66,6 +68,18 @@ def test_pentagon_is_not_modular():
     assert not n5.is_modular()
 
 
+@pytest.mark.parametrize("ctx", [CLASSIC, FROB], ids=["id", "frob"])
+def test_full_lattice_bounds_match_closure_of_union(ctx):
+    # join is read off the closure table; closing the union pair by pair
+    # is the oracle
+    fl = build_full_lattice(ctx)
+    for i, a in enumerate(fl.nodes):
+        for j, b in enumerate(fl.nodes):
+            union = list(a) + [x for x in b if x not in a]
+            assert fl.nodes[fl.join[i][j]] == closure(ctx, union)
+            assert fl.nodes[fl.meet[i][j]] == tuple(x for x in a if x in b)
+
+
 def test_frobenius_f4_collapses_to_ten_nodes():
     fl, wl = _lattice_pair(FROB)
     assert fl.n == 10 and wl.n == 10
@@ -121,6 +135,10 @@ def test_enumeration_needs_a_finite_ring():
     with pytest.raises(CapabilityMissingError):
         build_full_lattice(make_context("Q"))
     with pytest.raises(CapabilityMissingError):
+        build_w_lattice(make_context("HQ"))
+    with pytest.raises(CapabilityMissingError):
+        full_set_nodes(make_context("Q"))
+    with pytest.raises(CapabilityMissingError):
         modular_law_sweep(make_context("Qx", s_desc=("id",)))
 
 
@@ -172,3 +190,43 @@ def test_modular_law_check_input_errors():
 def test_modular_law_sweep_exhaustive_f4():
     assert modular_law_sweep(FROB) == (450, 0)
     assert modular_law_sweep(CLASSIC) == (1296, 0)
+
+
+class _ThreePoints:
+    """A stand-in finite context: the sweep only enumerates and sorts."""
+
+    finite = True
+
+    def elements(self):
+        return [3, 1, 2]
+
+    def sort_key(self, a):
+        return a
+
+
+def test_modular_law_sweep_counts_violations(monkeypatch):
+    # closed sets {}, {1}, {1,2}, {3} and {1,2,3} form the pentagon N5,
+    # which is not modular: gamma = {1,2}, pi = {3}, delta = {1} gives
+    # 2 in cl(pi + delta) = {1,2,3} but not in cl({} + delta) = {1}
+    closed = [frozenset(), {1}, {1, 2}, {3}, {1, 2, 3}]
+
+    def n5_closure(ctx, elems):
+        return tuple(sorted(min((c for c in closed if c >= set(elems)),
+                                key=len)))
+
+    monkeypatch.setattr(lattices, "closure", n5_closure)
+    ctx = _ThreePoints()
+    fulls = [frozenset(c) for c in closed]
+    triples = violations = 0
+    for gamma in fulls:
+        subsets = [frozenset(x for k, x in enumerate(sorted(gamma))
+                             if m >> k & 1)
+                   for m in range(1 << len(gamma))]
+        for pi in fulls:
+            for delta in subsets:
+                triples += 1
+                big = set(n5_closure(ctx, pi | delta))
+                small = set(n5_closure(ctx, (gamma & pi) | delta))
+                violations += sum(x in big and x not in small for x in gamma)
+    assert violations > 0
+    assert modular_law_sweep(ctx) == (triples, violations)

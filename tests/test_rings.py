@@ -178,6 +178,10 @@ def test_describe_and_keys():
     assert BACKENDS["HQ"].describe() == "HQ [S=id, D=0]"
     assert BACKENDS["F8"] != BACKENDS["F8-inner"]
     assert BACKENDS["F8"] == make_context("F8")
+    # an inner derivation by a central element is zero once S = id
+    hq = BACKENDS["HQ"]
+    assert make_context("HQ", d_desc=("inner", hq.from_int(2))) == hq
+    assert make_context("HQ", d_desc=("inner", hq.i)) != hq
 
 
 def test_sort_key_orders_elements_totally():

@@ -156,6 +156,17 @@ def test_riccati_constant_invariant_square_or_not():
         assert [str(r) for r in got] == want and not parametric
 
 
+@pytest.mark.parametrize("poly", ["t^2 + [1/u]", "[u]*t^2 + [1]"])
+def test_riccati_solver_proof_of_no_rational_root(poly):
+    # the invariant has a pole at u = 0 where the solver's necessary
+    # conditions fail; its "Rational Solution doesn't exist" is a proof
+    qu = BACKENDS["Qu"]
+    f = parse_polynomial(poly, qu)
+    assert derivation_quadratic_roots(qu, f.monic()) == ([], False)
+    report = right_root_report(f)
+    assert report.finite and report.roots == ()
+
+
 def test_norm_polynomial_is_central():
     hq = BACKENDS["HQ"]
     rng = rng_for("norm", 50)
