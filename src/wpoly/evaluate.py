@@ -151,7 +151,8 @@ def coset_check(f, roots):
         alternative = "mixed"
     monic = f.is_monic()
     if monic and n >= 2 and alternative != "single":
-        raise RuntimeError("left roots of a monic polynomial left a single S(K)-coset")
+        raise AssertionError(
+            "left roots of a monic polynomial left a single S(K)-coset")
     return CosetReport(monic=monic, n_roots=n, alternative=alternative,
                        holds=alternative != "mixed")
 

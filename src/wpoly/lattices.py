@@ -7,7 +7,10 @@ isomorphism) can be verified node by node instead of taken on faith.
 
 A subset is an int bitset, bit i standing for the i-th element in sort_key
 order.  The P-closures of all 2^q subsets are tabulated once per call, and
-inclusion, intersection and the closure of a union are read off the table.
+intersection and the closure of a union are read off the table.  Each
+lattice's order is read off its own join table.  The duality check lists
+the monic right divisors of each polynomial node once, and compares the
+intervals of the polynomial lattice with those lists.
 """
 
 from __future__ import annotations
@@ -29,20 +32,22 @@ def _bits(mask):
 
 
 class FiniteLattice:
-    """An explicit finite lattice: nodes, order bitsets, meet and join tables.
+    """An explicit finite lattice: nodes, meet and join tables, order bitsets.
 
-    Bit j of up[i], and bit i of down[j], is set when node i is below node
-    j.  Construction verifies the partial-order axioms and that the supplied
-    meet and join tables are the true greatest lower and least upper bounds;
-    a violation is a library defect, not an input error, so it raises
-    AssertionError.
+    The order is read off the join table: node i is below node j exactly
+    when join[i][j] == j, and then bit j of up[i] and bit i of down[j] are
+    set.  Construction verifies the partial-order axioms and that the
+    supplied meet and join tables are the true greatest lower and least
+    upper bounds; a violation is a library defect, not an input error, so it
+    raises AssertionError.
     """
 
-    def __init__(self, kind, ctx, nodes, up, meet, join):
+    def __init__(self, kind, ctx, nodes, meet, join):
         self.kind = kind
         self.ctx = ctx
         self.nodes = tuple(nodes)
-        self.up = list(up)
+        self.up = [sum(1 << j for j, v in enumerate(row) if v == j)
+                   for row in join]
         self.down = [sum(1 << i for i in range(self.n) if self.up[i] >> j & 1)
                      for j in range(self.n)]
         self.meet = meet
@@ -58,13 +63,11 @@ class FiniteLattice:
         return self._index[node]
 
     @classmethod
-    def from_functions(cls, kind, ctx, nodes, leq_fn, bounds_fn):
-        """Tabulate leq_fn(a, b) and bounds_fn(a, b) -> (meet, join)."""
+    def from_functions(cls, kind, ctx, nodes, bounds_fn):
+        """Tabulate bounds_fn(a, b) -> (meet, join)."""
         nodes = tuple(nodes)
         n = len(nodes)
         index = {node: i for i, node in enumerate(nodes)}
-        up = [sum(1 << j for j in range(n) if leq_fn(nodes[i], nodes[j]))
-              for i in range(n)]
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -75,7 +78,7 @@ class FiniteLattice:
                         "meet or join left the node set, the lattice is not closed")
                 meet[i][j] = meet[j][i] = index[m]
                 join[i][j] = join[j][i] = index[v]
-        return cls(kind, ctx, nodes, up, meet, join)
+        return cls(kind, ctx, nodes, meet, join)
 
     def _verify(self):
         n, up, down = self.n, self.up, self.down
@@ -170,38 +173,29 @@ def _closure_table(ctx, what):
     return elems, table
 
 
-def full_set_nodes(ctx):
-    """All full algebraic subsets, as sorted tuples, with their minimal
-    polynomials.  A full set is its own closure, so the distinct values of
-    the closure table are exactly the full sets."""
-    elems, table = _closure_table(ctx, "full-set enumeration")
-    return {s: minimal_polynomial(ctx, s).poly
-            for s in (_members(elems, m) for m in sorted(set(table)))}
-
-
 def build_full_lattice(ctx) -> FiniteLattice:
-    """Lattice of full algebraic subsets: order by inclusion, meet by
-    intersection, join by closure of the union, all read off the closure
-    table.  Nodes are sorted tuples, by rank and then element order."""
+    """Lattice of full algebraic subsets: meet by intersection, join by
+    closure of the union, read off the closure table; the order this join
+    gives is inclusion.  Nodes are sorted tuples, by rank and then element
+    order."""
     elems, table = _closure_table(ctx, "full-set enumeration")
     rank = {m: minimal_polynomial(ctx, _members(elems, m)).rank
             for m in set(table)}
     masks = sorted(rank, key=lambda m: (rank[m], list(_bits(m))))
     index = {m: i for i, m in enumerate(masks)}
-    up = [sum(1 << j for j, b in enumerate(masks) if not a & ~b)
-          for a in masks]
     meet = [[index[a & b] for b in masks] for a in masks]
     join = [[index[table[a | b]] for b in masks] for a in masks]
     return FiniteLattice("full-sets", ctx,
-                         [_members(elems, m) for m in masks], up, meet, join)
+                         [_members(elems, m) for m in masks], meet, join)
 
 
 def build_w_lattice(ctx) -> FiniteLattice:
-    """Lattice of the minimal polynomials of subsets of K, ordered by
-    left-ideal inclusion: f <= h exactly when h right-divides f.  Meet is
-    the least common left multiple, join the greatest common right divisor.
-    A subset and its closure share their minimal polynomial, so the nodes
-    come from all 2^q subsets without any closure."""
+    """Lattice of the minimal polynomials of subsets of K.  Meet is the
+    least common left multiple, join the greatest common right divisor, and
+    the order this join gives is left-ideal inclusion: f <= h exactly when
+    h right-divides f.  A subset and its closure share their minimal
+    polynomial, so the nodes come from all 2^q subsets without any
+    closure."""
     elems = list(ctx.elements())
     polys = {minimal_polynomial(ctx, _members(elems, m)).poly
              for m in range(1 << len(elems))}
@@ -209,15 +203,11 @@ def build_w_lattice(ctx) -> FiniteLattice:
                    key=lambda p: (p.degree,
                                   [ctx.sort_key(c) for c in p.coeffs]))
 
-    def leq_fn(f, h):
-        return f.right_divmod(h)[1].is_zero()
-
     def bounds_fn(f, h):
         res = rgcd_llcm(f, h)
         return res.llcm, res.rgcd
 
-    return FiniteLattice.from_functions("w-polys", ctx, nodes,
-                                        leq_fn, bounds_fn)
+    return FiniteLattice.from_functions("w-polys", ctx, nodes, bounds_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +251,9 @@ def duality_check(fl: FiniteLattice, wl: FiniteLattice) -> DualityReport:
     set as mutually inverse order-reversing bijections; rank and degree as
     dimension functions; atoms and maximal elements; modularity; and, for
     every comparable pair in the polynomial lattice, agreement between the
-    lattice interval and the full divisor enumeration.
+    lattice interval and the full divisor enumeration.  The divisors come
+    from enumeration and the lattice order from the right gcd, so the
+    interval check does not read the lattice it verifies.
     """
     if fl.ctx != wl.ctx:
         raise ValueError("lattices come from different contexts")
@@ -313,22 +305,18 @@ def duality_check(fl: FiniteLattice, wl: FiniteLattice) -> DualityReport:
     modular_full = fl.is_modular()
     modular_w = wl.is_modular()
 
+    # every factor of a W-polynomial is W, so every divisor of a node is a
+    # node; the interval [f, h] is then the divisors of f that h right-divides
+    divisors = {f: set(monic_right_divisors(f)) for f in wl.nodes}
+    intervals_match = all(g in divisors for d in divisors.values() for g in d)
     intervals_checked = 0
-    intervals_match = True
-    for i in range(wl.n):
-        f = wl.nodes[i]
-        divisors = [monic_right_divisors(f, d) for d in range(f.degree + 1)]
+    for i, f in enumerate(wl.nodes):
         for j in _bits(wl.up[i]):
             h = wl.nodes[j]
-            enumerated = {
-                g
-                for d in range(h.degree, f.degree + 1)
-                for g in divisors[d]
-                if g.right_divmod(h)[1].is_zero()}
+            enumerated = {g for g in divisors[f] if h in divisors.get(g, ())}
             via_lattice = {wl.nodes[g] for g in wl.interval(i, j)}
             intervals_checked += 1
-            if enumerated != via_lattice:
-                intervals_match = False
+            intervals_match &= enumerated == via_lattice
     return DualityReport(
         n_nodes=n,
         bijection=bijection,

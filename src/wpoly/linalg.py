@@ -41,12 +41,9 @@ def rank(rows, base):
     return len(rref(rows, base)[1])
 
 
-def kernel(rows, base, ncols=None):
+def kernel(rows, base):
     """Basis of the right null space {v : M v = 0} as tuples of scalars."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
+    ncols = len(rows[0])
     red, pivots = rref(rows, base)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

@@ -271,21 +271,26 @@ def monic_polynomials(ctx, degree):
         yield SkewPolynomial(ctx, lower + (ctx.one,))
 
 
-def monic_right_divisors(f, degree):
-    """All monic right divisors of the given degree of a monic f; finite
+def monic_right_divisors(f):
+    """Every monic right divisor of a monic f, in ascending degree; finite
     contexts only.
 
-    Past the halfway degree the divisors are read off their monic left
-    cofactors (a degree-d divisor pairs with a degree n-d cofactor), which
-    keeps the candidate count at q^min(d, n-d).
+    1 and f are listed without a division.  Past the halfway degree the
+    divisors are read off their monic left cofactors (a degree-d divisor
+    pairs with a degree n-d cofactor), which keeps the candidate count at
+    q^min(d, n-d).
     """
     n = f.degree
-    if degree <= n - degree:
-        return [p for p in monic_polynomials(f.ctx, degree)
-                if f.right_divmod(p)[1].is_zero()]
-    out = []
-    for p in monic_polynomials(f.ctx, n - degree):
-        res = f.left_divmod(p)
-        if res is not None and res[1].is_zero():
-            out.append(res[0])
+    out = [SkewPolynomial.one(f.ctx)]
+    for d in range(1, n):
+        if d <= n - d:
+            out += [p for p in monic_polynomials(f.ctx, d)
+                    if f.right_divmod(p)[1].is_zero()]
+        else:
+            for p in monic_polynomials(f.ctx, n - d):
+                res = f.left_divmod(p)
+                if res is not None and res[1].is_zero():
+                    out.append(res[0])
+    if n > 0:
+        out.append(f)
     return out

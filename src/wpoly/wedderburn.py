@@ -376,27 +376,17 @@ def dual_representation(ctx, basis):
 # ---------------------------------------------------------------------------
 # factor and product criteria
 
-def monic_factors(f, degree=None):
-    """All monic p with f = p1 * p * p2 for monic p1, p2; finite contexts.
+def monic_factors(f):
+    """All monic p of positive degree with f = p1 * p * p2 for monic p1, p2;
+    finite contexts.
 
-    With degree given, only factors of that exact degree are returned.  For
-    each monic right divisor p2 of f, the factors are the monic right
-    divisors of the left cofactor f / p2 (p1 = 1 when p is the whole
-    cofactor).
+    For each monic right divisor p2 of f, the factors are the monic right
+    divisors of positive degree of the left cofactor f / p2 (p1 = 1 when p
+    is the whole cofactor).  They are listed once each, in the order found.
     """
-    n = f.degree
-    wanted = [d for d in ([degree] if degree is not None else range(1, n + 1))
-              if 1 <= d <= n]
-    found = []
-    for d2 in range(n):
-        for p2 in monic_right_divisors(f, d2):
-            quot = f.right_divmod(p2)[0]
-            for dp in wanted:
-                if dp <= n - d2:
-                    for p in monic_right_divisors(quot, dp):
-                        if not any(p == q for q in found):
-                            found.append(p)
-    return found
+    return list(dict.fromkeys(
+        p for p2 in monic_right_divisors(f)
+        for p in monic_right_divisors(f.right_divmod(p2)[0])[1:]))
 
 
 def _chain_factors(f, chain):

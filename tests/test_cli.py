@@ -201,11 +201,13 @@ def test_parametric_riccati_roots_list_samples(capsys):
 
 def test_golden_cli_outputs(capsys):
     # stdout of the text and --json forms of commands that print sorted
-    # Q(u), Q(x) and HQ elements, certificates and metro solutions, and of
-    # F4 lattice build/check under S = id, frob and D = 0, inner(w), pinned
-    # verbatim: element formatting, sort_key and node order must not drift
+    # Q(u), Q(x) and HQ elements, certificates and metro solutions, of F4
+    # lattice build/check under S = id, frob and D = 0, inner(w), and of F8
+    # lattice build/check --json under S = frob, frob^2 with D = inner(w),
+    # pinned verbatim: element formatting, sort_key and node order must not
+    # drift
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) >= 88
+    assert len(cases) >= 92
     for case in cases:
         code, out, _ = run(case["argv"], capsys)
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -171,6 +171,15 @@ def test_coset_check_single_and_empty():
     assert not report.monic and report.holds
 
 
+def test_coset_check_violation_is_a_library_defect():
+    # 0 and x differ by x, which is not in S(K) = Q(x^2); monic t^2 cannot
+    # have both as left roots, so the alternative fails as a defect would
+    qx = BACKENDS["Qx"]
+    t2 = SkewPolynomial.monomial(qx, qx.one, 2)
+    with pytest.raises(AssertionError, match="single S\\(K\\)-coset"):
+        coset_check(t2, [qx.zero, qx.x])
+
+
 def left_roots_for(f):
     # quadratic left roots via the derived formula -f1 - S(c) over roots c
     ctx = f.ctx

@@ -1,14 +1,16 @@
 """Lattices of full sets, their polynomial duals, and the modular law."""
 
+import itertools
+
 import pytest
 
 from wpoly import lattices
 from wpoly.algsets import closure
 from wpoly.errors import CapabilityMissingError, NotFullError
 from wpoly.lattices import (FiniteLattice, build_full_lattice, build_w_lattice,
-                            duality_check, full_set_nodes, gcd_vs_intersection,
-                            hasse_edges, intersection_minpoly,
-                            modular_law_check, modular_law_sweep)
+                            duality_check, gcd_vs_intersection, hasse_edges,
+                            intersection_minpoly, modular_law_check,
+                            modular_law_sweep)
 from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial
 
@@ -33,20 +35,36 @@ def test_classical_f4_is_the_boolean_lattice():
 
 
 def test_construction_rejects_a_wrong_meet():
-    def leq(a, b):
-        return a <= b
-
     def bounds(a, b):
         return min(a, b), max(a, b)
 
-    chain = FiniteLattice.from_functions("chain", None, range(4), leq, bounds)
+    chain = FiniteLattice.from_functions("chain", None, range(4), bounds)
     assert chain.bottom == 0 and chain.top == 3 and chain.is_modular()
+    assert chain.up == [0b1111, 0b1110, 0b1100, 0b1000]
 
     def wrong_meet(a, b):
         return (0 if a != b else a), max(a, b)
 
-    with pytest.raises(AssertionError, match="meet"):
-        FiniteLattice.from_functions("chain", None, range(4), leq, wrong_meet)
+    # the order is read off the join table, so joining distinct elements at
+    # the top leaves 0, 1, 2 pairwise incomparable, and min is no meet there
+    def wrong_join(a, b):
+        return min(a, b), (3 if a != b else a)
+
+    for wrong in (wrong_meet, wrong_join):
+        with pytest.raises(AssertionError, match="meet"):
+            FiniteLattice.from_functions("chain", None, range(4), wrong)
+
+    # 0 < a, b < c < 1: joining a and b at 1 keeps the order, which only
+    # reads the joins of comparable pairs, and fails as a least upper bound
+    below = {"0": "0", "a": "0a", "b": "0b", "c": "0abc", "1": "0abc1"}
+
+    def loose_join(x, y):
+        if x in below[y] or y in below[x]:
+            return sorted((x, y), key=lambda z: len(below[z]))
+        return "0", "1"
+
+    with pytest.raises(AssertionError, match="join"):
+        FiniteLattice.from_functions("diamond", None, below, loose_join)
 
 
 def test_pentagon_is_not_modular():
@@ -54,30 +72,28 @@ def test_pentagon_is_not_modular():
     below = {"0": {"0"}, "a": {"0", "a"}, "c": {"0", "a", "c"},
              "b": {"0", "b"}, "1": {"0", "a", "b", "c", "1"}}
 
-    def leq(x, y):
-        return x in below[y]
-
     def bounds(x, y):
         common = below[x] & below[y]
         meet = max(common, key=lambda z: len(below[z]))
         upper = [z for z in below if x in below[z] and y in below[z]]
         return meet, min(upper, key=lambda z: len(below[z]))
 
-    n5 = FiniteLattice.from_functions("N5", None, below, leq, bounds)
+    n5 = FiniteLattice.from_functions("N5", None, below, bounds)
     assert n5.n == 5 and n5.nodes[n5.top] == "1"
     assert not n5.is_modular()
 
 
 @pytest.mark.parametrize("ctx", [CLASSIC, FROB], ids=["id", "frob"])
 def test_full_lattice_bounds_match_closure_of_union(ctx):
-    # join is read off the closure table; closing the union pair by pair
-    # is the oracle
+    # join is read off the closure table and the order off the join;
+    # closing the union pair by pair, and inclusion, are the oracles
     fl = build_full_lattice(ctx)
     for i, a in enumerate(fl.nodes):
         for j, b in enumerate(fl.nodes):
             union = list(a) + [x for x in b if x not in a]
             assert fl.nodes[fl.join[i][j]] == closure(ctx, union)
             assert fl.nodes[fl.meet[i][j]] == tuple(x for x in a if x in b)
+            assert (fl.up[i] >> j & 1) == (set(a) <= set(b))
 
 
 def test_frobenius_f4_collapses_to_ten_nodes():
@@ -88,17 +104,25 @@ def test_frobenius_f4_collapses_to_ten_nodes():
     assert frozenset((one, w)) not in node_sets
     # all nonzero elements are conjugate, so {1, w} closes up to all of them
     assert frozenset((one, w, w * w)) in node_sets
-    expected = {frozenset(s) for s in full_set_nodes(FROB)}
+    # brute force: the subsets of F4 that are their own closure
+    elems = sorted(FROB.elements(), key=FROB.sort_key)
+    subsets = (frozenset(s) for r in range(len(elems) + 1)
+               for s in itertools.combinations(elems, r))
+    expected = {s for s in subsets if frozenset(closure(FROB, s)) == s}
     assert node_sets == expected
 
 
 def test_w_lattice_order_is_reverse_divisibility():
-    fl, wl = _lattice_pair(CLASSIC)
-    assert wl.nodes[wl.top] == SkewPolynomial.one(CLASSIC)
-    assert wl.nodes[wl.bottom].degree == 4
-    for i, j in hasse_edges(wl):
-        assert wl.nodes[i].right_divmod(wl.nodes[j])[1].is_zero()
-        assert wl.nodes[i].degree == wl.nodes[j].degree + 1
+    # the order is read off the rgcd table; right division is the oracle
+    for ctx, bottom_degree in ((CLASSIC, 4), (FROB, 3)):
+        wl = build_w_lattice(ctx)
+        assert wl.nodes[wl.top] == SkewPolynomial.one(ctx)
+        assert wl.nodes[wl.bottom].degree == bottom_degree
+        for i, f in enumerate(wl.nodes):
+            for j, h in enumerate(wl.nodes):
+                assert (wl.up[i] >> j & 1) == f.right_divmod(h)[1].is_zero()
+        for i, j in hasse_edges(wl):
+            assert wl.nodes[i].degree == wl.nodes[j].degree + 1
 
 
 def test_full_lattice_cover_steps_add_one_element():
@@ -131,13 +155,32 @@ def test_duality_check_frobenius():
     assert report.intervals_match and report.intervals_checked == 36
 
 
+def test_duality_check_sees_a_wrong_divisor_list(monkeypatch):
+    # the intervals are compared with enumerated divisor sets, so one
+    # divisor too many (t^2, which is no node) or one too few must show
+    fl, wl = _lattice_pair(CLASSIC)
+    real = lattices.monic_right_divisors
+    bottom = wl.nodes[wl.bottom]
+    t2 = SkewPolynomial.monomial(CLASSIC, CLASSIC.one, 2)
+    assert t2 not in wl.nodes
+
+    def one_too_many(f):
+        return real(f) + [t2] if f == bottom else real(f)
+
+    def one_too_few(f):
+        return real(f)[:1] + real(f)[2:] if f == bottom else real(f)
+
+    for wrong in (one_too_many, one_too_few):
+        monkeypatch.setattr(lattices, "monic_right_divisors", wrong)
+        report = duality_check(fl, wl)
+        assert not report.intervals_match and report.intervals_checked == 81
+
+
 def test_enumeration_needs_a_finite_ring():
     with pytest.raises(CapabilityMissingError):
         build_full_lattice(make_context("Q"))
     with pytest.raises(CapabilityMissingError):
         build_w_lattice(make_context("HQ"))
-    with pytest.raises(CapabilityMissingError):
-        full_set_nodes(make_context("Q"))
     with pytest.raises(CapabilityMissingError):
         modular_law_sweep(make_context("Qx", s_desc=("id",)))
 

@@ -5,8 +5,8 @@ import pytest
 from helpers import backend_contexts, random_poly, rng_for
 from wpoly.errors import ContextMismatchError
 from wpoly.rings import make_context
-from wpoly.skew import (SkewPolynomial, monic_polynomials, product_of_linears,
-                        rgcd_llcm)
+from wpoly.skew import (SkewPolynomial, monic_polynomials,
+                        monic_right_divisors, product_of_linears, rgcd_llcm)
 
 BACKENDS = backend_contexts()
 
@@ -153,6 +153,32 @@ def test_monic_polynomial_enumeration_counts():
     assert sum(1 for _ in monic_polynomials(f4, 2)) == 16
     seen = set(monic_polynomials(f4, 2))
     assert len(seen) == 16
+
+
+@pytest.mark.parametrize("s_desc, d_desc", [
+    (("id",), ("zero",)), (("frob", 1), ("zero",)),
+    (("frob", 1), ("inner", BACKENDS["F4"].w))],
+    ids=["id", "frob", "frob-inner-w"])
+def test_monic_right_divisors_match_products(s_desc, d_desc):
+    # oracle without division: g right-divides f when c * g = f for some
+    # monic c; with D = inner(w) under frob the upper half runs left_divmod
+    # in a context with D != 0
+    ctx = make_context("F4", s_desc, d_desc)
+    monics = [p for d in range(4) for p in monic_polynomials(ctx, d)]
+    products = {}
+    for c in monics:
+        for g in monics:
+            if c.degree + g.degree <= 3:
+                products.setdefault(c * g, set()).add(g)
+    for f in monics:
+        found = monic_right_divisors(f)
+        degrees = [g.degree for g in found]
+        assert degrees == sorted(degrees)
+        assert found[0] == SkewPolynomial.one(ctx) and found[-1] == f
+        for d in range(f.degree + 1):
+            listed = [g for g in found if g.degree == d]
+            assert len(set(listed)) == len(listed)
+            assert set(listed) == {g for g in products[f] if g.degree == d}
 
 
 def test_degree_conventions():
