@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .evaluate import _resolve_domain, conjugate, evaluate
+from .evaluate import _resolve_domain, conjugate, evaluate, right_roots
 from .skew import SkewPolynomial
 
 
@@ -76,8 +76,7 @@ def closure(ctx, elements, domain=None):
     """
     elems = _check_distinct(ctx, elements)
     f = minimal_polynomial(ctx, elems).poly
-    found = [a for a in _resolve_domain(ctx, domain, "closure")
-             if ctx.is_zero(evaluate(f, a))]
+    found = right_roots(f, _resolve_domain(ctx, domain, "closure"))
     for a in elems:
         if not any(a == b for b in found):
             found.append(a)

@@ -64,7 +64,7 @@ def conjugacy_class_reps(ctx):
     """
     seen = set()
     reps = []
-    for a in sorted(ctx.elements(), key=ctx.sort_key):
+    for a in ctx.elements():
         if a in seen:
             continue
         reps.append(a)
@@ -104,19 +104,17 @@ def _resolve_domain(ctx, domain, what):
 
 
 def right_roots(f, domain=None):
-    """Right roots of f within the domain (the whole ring when finite)."""
-    if f.is_zero():
-        raise ValueError("every element is a root of the zero polynomial")
+    """The right roots of f in the domain (the whole ring when finite), in
+    domain order; the zero polynomial keeps the whole domain."""
     dom = _resolve_domain(f.ctx, domain, "right root search")
     return [a for a in dom if is_right_root(f, a)]
 
 
-def left_roots(f, domain=None):
-    """Left roots (b with f in (t-b)R) within the domain."""
+def left_roots(f):
+    """Left roots (b with f in (t-b)R) of f over a finite ring."""
     if f.is_zero():
         raise ValueError("every element is a left root of the zero polynomial")
-    dom = _resolve_domain(f.ctx, domain, "left root search")
-    return [b for b in dom if is_left_root(f, b)]
+    return [b for b in f.ctx.elements() if is_left_root(f, b)]
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ def _closure_table(ctx, what):
     every subset as a bitset: table[m] is the closure of the subset m."""
     if not ctx.finite:
         raise CapabilityMissingError(f"{what} needs a finite ring")
-    elems = sorted(ctx.elements(), key=ctx.sort_key)
+    elems = ctx.elements()
     bit = {a: 1 << i for i, a in enumerate(elems)}
     table = [sum(bit[a] for a in closure(ctx, _members(elems, m)))
              for m in range(1 << len(elems))]

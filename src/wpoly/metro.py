@@ -76,8 +76,7 @@ class MetroSolutionReport:
 
 def _solve_enumerate(problem) -> MetroSolutionReport:
     ctx = problem.ctx
-    sols = [x for x in sorted(ctx.elements(), key=ctx.sort_key)
-            if problem.is_solution(x)]
+    sols = [x for x in ctx.elements() if problem.is_solution(x)]
     if not sols:
         return MetroSolutionReport(problem, NO_SOLUTION,
                                    strategy="enumeration")
@@ -300,13 +299,17 @@ def _class_minpoly_and_membership(ctx, b, a):
         member = any(a == x for x in cls)
         return minimal_polynomial(ctx, list(cls)).poly, member
     if ctx.kind == "HQ":
-        if b.is_central():
-            return SkewPolynomial.linear(ctx, b), a == b
-        tr, nm = b.trace(), b.norm()
-        coeffs = (ctx.from_vec((nm, 0, 0, 0)),
-                  -ctx.from_vec((tr, 0, 0, 0)), ctx.one)
-        member = a.trace() == tr and a.norm() == nm
-        return SkewPolynomial(ctx, coeffs), member
+        # a class of HQ is {b}, or it has rank 2 and is the root set of the
+        # minimal polynomial of any two of its elements; b^i or b^j differs
+        # from b unless the class is {b}
+        gens = [b]
+        for x in (ctx.i, ctx.j):
+            y = conjugate(ctx, b, x)
+            if y != b:
+                gens.append(y)
+                break
+        minpoly = minimal_polynomial(ctx, gens).poly
+        return minpoly, is_right_root(minpoly, a)
     raise CapabilityMissingError(
         f"no algebraic conjugacy classes available over {ctx.name}")
 

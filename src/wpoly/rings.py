@@ -10,7 +10,7 @@ Leibniz rule D(a*b) = S(a)*D(b) + D(a)*b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd as _igcd, lcm
 
 from .errors import CapabilityMissingError, ContextMismatchError
@@ -334,19 +334,30 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 # small finite fields GF(p^k), table arithmetic
 
-@lru_cache(maxsize=None)
+_FIELDS = {}
+
+
 def gf_field(p, k, modulus):
-    return _GFField(p, k, modulus)
+    """The one field object of GF(p^k) for a monic modulus, which is read
+    mod p: two spellings of one modulus give the same object."""
+    key = (p, k, tuple(int(c) % p for c in modulus))
+    if key not in _FIELDS:
+        _FIELDS[key] = _GFField(*key)
+    return _FIELDS[key]
 
 
 class _GFField:
-    """Arithmetic tables for GF(p^k); elements are interned by integer code."""
+    """GF(p^k) with its elements interned, one FFElement per integer code.
+
+    ``elems[c]`` is the element of code c, whose base-p digits are its
+    coordinates on 1, w, ..., w^(k-1).  The tables ``add``, ``neg``, ``mul``
+    and ``inv`` are indexed by codes and hold the interned result elements.
+    """
 
     def __init__(self, p, k, modulus):
         q = p ** k
         if q > 256:
             raise CapabilityMissingError("table-driven finite fields capped at 256 elements")
-        modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         self.p, self.k, self.q, self.modulus = p, k, q, modulus
@@ -379,11 +390,12 @@ class _GFField:
                 poly.append(0)
             return poly
 
-        self.add = [[encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
+        elems = self.elems = [FFElement(self, code) for code in range(q)]
+        self.add = [[elems[encode([(x + y) % p for x, y in zip(decode(a), decode(b))])]
                      for b in range(q)] for a in range(q)]
-        self.neg = [encode([(-x) % p for x in decode(a)]) for a in range(q)]
+        self.neg = [elems[encode([(-x) % p for x in decode(a)])] for a in range(q)]
 
-        mul = []
+        mul = self.mul = []
         for a in range(q):
             da = decode(a)
             row = []
@@ -394,43 +406,27 @@ class _GFField:
                     if x:
                         for j, y in enumerate(db):
                             prod[i + j] += x * y
-                row.append(encode(reduce(prod)))
+                row.append(elems[encode(reduce(prod))])
             mul.append(row)
-        self.mul = mul
 
-        inv = [0] * q
+        one = elems[1]
+        self.inv = [elems[0]]
         for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
+            for b in elems[1:]:
+                if mul[a][b.code] is one:
+                    self.inv.append(b)
                     break
             else:
                 raise ValueError("modulus is not irreducible")
-        self.inv = inv
-
-        self.frob1 = [self._pow_int(a, p, mul) for a in range(q)]  # a -> a^p
-
-        self.elems = [FFElement(self, code) for code in range(q)]
-
-    @staticmethod
-    def _pow_int(a, e, mul):
-        r = 1
-        b = a
-        while e:
-            if e & 1:
-                r = mul[r][b]
-            b = mul[b][b]
-            e >>= 1
-        return r
-
-    def frob_power(self, code, e):
-        for _ in range(e % self.k if self.k else 0):
-            code = self.frob1[code]
-        return code
 
 
 class FFElement:
-    """An element of a table-driven finite field."""
+    """An element of a table-driven finite field.
+
+    Elements are interned in their field's ``elems`` and one field object
+    exists per modulus, so equality is identity; arithmetic between two
+    field objects raises.  The hash reads the field key and the code.
+    """
 
     __slots__ = ("field", "code")
 
@@ -448,20 +444,21 @@ class FFElement:
     def __add__(self, other):
         if self._check(other) is None:
             return NotImplemented
-        return self.field.elems[self.field.add[self.code][other.code]]
+        return self.field.add[self.code][other.code]
 
     def __sub__(self, other):
         if self._check(other) is None:
             return NotImplemented
-        return self.field.elems[self.field.add[self.code][self.field.neg[other.code]]]
+        field = self.field
+        return field.add[self.code][field.neg[other.code].code]
 
     def __neg__(self):
-        return self.field.elems[self.field.neg[self.code]]
+        return self.field.neg[self.code]
 
     def __mul__(self, other):
         if self._check(other) is None:
             return NotImplemented
-        return self.field.elems[self.field.mul[self.code][other.code]]
+        return self.field.mul[self.code][other.code]
 
     def __truediv__(self, other):
         if self._check(other) is None:
@@ -471,18 +468,13 @@ class FFElement:
     def inverse(self):
         if self.code == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        return self.field.elems[self.field.inv[self.code]]
+        return self.field.inv[self.code]
 
     def is_zero(self):
         return self.code == 0
 
     def __bool__(self):
         return self.code != 0
-
-    def __eq__(self, other):
-        if not isinstance(other, FFElement):
-            return NotImplemented
-        return self.field.key == other.field.key and self.code == other.code
 
     def __hash__(self):
         return hash((self.field.key, self.code))
@@ -697,12 +689,14 @@ class DivisionRingContext:
     Subclasses fill in the ring-specific pieces; shared capability flags and
     derivation dispatch live here.  Contexts compare equal by configuration,
     which is what the polynomial layer uses to reject mixed operands.
+
+    ``key`` is that configuration, (kind, ring parameters, S, D), set once
+    construction has normalized an inner derivation that vanishes to D = 0.
     """
 
     kind = "?"
     commutative = True
     finite = False
-    characteristic = 0
     base_dim = None   # dimension over the central base field, None if infinite
     base = None       # scalar adapter for that base field
 
@@ -716,12 +710,9 @@ class DivisionRingContext:
             self.d_desc = ("zero",)
         if self.d_desc[0] != "zero":
             self._check_sd_samples()
+        self.key = (self.kind, self._ring_params(), self.s_desc, self.d_desc)
 
     # -- identity -----------------------------------------------------------
-    @property
-    def key(self):
-        return (self.kind, self._ring_params(), self.s_desc, self.d_desc)
-
     def _ring_params(self):
         return ()
 
@@ -760,6 +751,7 @@ class DivisionRingContext:
         return a == self.zero
 
     def elements(self):
+        """Every element of a finite ring, in sort_key order."""
         raise CapabilityMissingError(f"{self.name} is not finitely enumerable")
 
     def sort_key(self, a):
@@ -897,16 +889,29 @@ class FiniteFieldContext(DivisionRingContext):
     finite = True
 
     def __init__(self, p, k, modulus, s_desc=("frob", 1), d_desc=("zero",), name=None):
-        self.field = gf_field(p, k, tuple(modulus))
+        self.field = gf_field(p, k, modulus)
         self.p, self.k = p, k
-        self.characteristic = p
         self.base_dim = k
         self.base = GFpBase(p)
         self.name = name or f"GF({p}^{k})"
-        self.zero = self.field.elems[0]
-        self.one = self.field.elems[1 % self.field.q]
+        elems = self.field.elems
+        self.zero = elems[0]
+        self.one = elems[1 % self.field.q]
         if s_desc == ("id",):
             s_desc = ("frob", 0)
+        if s_desc[0] != "frob":
+            raise CapabilityMissingError("finite fields support Frobenius powers only")
+        # S = frob^e: a -> a^(p^e), and its inverse, as tables indexed by
+        # code; position c of the inverse holds the element S sends to code c
+        mul = self.field.mul
+        s_table = []
+        for a in elems:
+            r = self.one
+            for _ in range(p ** (s_desc[1] % k)):
+                r = mul[r.code][a.code]
+            s_table.append(r)
+        self._s_table = s_table
+        self._s_inverse = sorted(elems, key=lambda a: s_table[a.code].code)
         super().__init__(s_desc, d_desc)
 
     @classmethod
@@ -925,8 +930,6 @@ class FiniteFieldContext(DivisionRingContext):
         return self.field.key
 
     def _validate(self):
-        if self.s_desc[0] not in ("frob",):
-            raise CapabilityMissingError("finite fields support Frobenius powers only")
         if self.d_desc[0] == "ddx":
             raise CapabilityMissingError("no formal derivative on a finite field")
 
@@ -954,13 +957,10 @@ class FiniteFieldContext(DivisionRingContext):
         return self.s_desc[1] % self.k == 0
 
     def _apply_s(self, a):
-        return self.field.elems[self.field.frob_power(a.code, self.s_desc[1])]
+        return self._s_table[a.code]
 
     def s_preimage(self, a):
-        e = self.s_desc[1] % self.k
-        if e == 0:
-            return a
-        return self.field.elems[self.field.frob_power(a.code, self.k - e)]
+        return self._s_inverse[a.code]
 
     def to_vec(self, a):
         return tuple(self.field.decode(a.code))

@@ -564,8 +564,7 @@ def rank_union_check(ctx, delta, gamma, domain=None):
     for a in gamma:
         if not any(a == b for b in union):
             union.append(a)
-    inter = [x for x in dom
-             if ctx.is_zero(evaluate(fd, x)) and ctx.is_zero(evaluate(fg, x))]
+    inter = right_roots(fg, right_roots(fd, dom))
     lhs = rank(ctx, delta) + rank(ctx, gamma)
     rhs = rank(ctx, union) + rank(ctx, inter)
     return lhs, rhs
@@ -586,8 +585,7 @@ def phi_rank_check(h, delta, domain=None):
         y = phi_transform(h, d)
         if not any(y == z for z in images):
             images.append(y)
-    inter = [x for x in dom
-             if ctx.is_zero(evaluate(fd, x)) and ctx.is_zero(evaluate(h, x))]
+    inter = right_roots(h, right_roots(fd, dom))
     lhs = rank(ctx, images)
     rhs = rank(ctx, delta) - rank(ctx, inter)
     return lhs, rhs
@@ -597,8 +595,6 @@ def product_rank_bound(g, h, domain=None):
     """(rk V(gh), rk V(g) + rk V(h)) over the enumerated domain."""
     ctx = g.ctx
     dom = _resolve_domain(ctx, domain, "the product rank bound")
-    def roots_of(p):
-        return [x for x in dom if ctx.is_zero(evaluate(p, x))]
-    lhs = rank(ctx, roots_of(g * h))
-    rhs = rank(ctx, roots_of(g)) + rank(ctx, roots_of(h))
+    lhs = rank(ctx, right_roots(g * h, dom))
+    rhs = rank(ctx, right_roots(g, dom)) + rank(ctx, right_roots(h, dom))
     return lhs, rhs

@@ -204,10 +204,12 @@ def test_golden_cli_outputs(capsys):
     # Q(u), Q(x) and HQ elements, certificates and metro solutions, of F4
     # lattice build/check under S = id, frob and D = 0, inner(w), and of F8
     # lattice build/check --json under S = frob, frob^2 with D = inner(w),
-    # pinned verbatim: element formatting, sort_key and node order must not
-    # drift
+    # and of the root, recognition, split, minpoly, closure, dual,
+    # expspace, rgcd and metro commands over F4 and F8 under S = id, frob,
+    # frob^2 with D = 0, inner(w), pinned verbatim: element formatting,
+    # sort_key and node order must not drift
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) >= 92
+    assert len(cases) >= 168
     for case in cases:
         code, out, _ = run(case["argv"], capsys)
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import rng_for
-from wpoly.errors import ClassMembershipError
+from wpoly.errors import ClassMembershipError, NotSplitError
+from wpoly.evaluate import conjugate, evaluate
 from wpoly.metro import (MULTIPLE, NO_SOLUTION, SOLUTION, UNDECIDED, UNIQUE,
                          UNKNOWN, MetroProblem, MetroSolutionReport,
+                         _class_minpoly_and_membership,
                          class_algebraic_uniqueness, metro_polynomial,
                          metro_wedderburn_equivalence, solve_metro)
-from wpoly.rings import make_context
+from wpoly.rings import Quaternion, make_context
 from wpoly.skew import SkewPolynomial
 
 HQ = make_context("HQ")
@@ -173,3 +175,42 @@ def test_class_uniqueness_membership_is_rejected():
     # every nonzero element of F4 is Frobenius-conjugate to w
     with pytest.raises(ClassMembershipError):
         class_algebraic_uniqueness(F4, F4.w, F4.one, F4.one)
+
+
+def test_hq_class_polynomial_under_an_inner_derivation():
+    ctx = make_context("HQ", d_desc=("inner", HQ.i))
+    minpoly, member = _class_minpoly_and_membership(ctx, ctx.j, ctx.i)
+    assert str(minpoly) == "t^2 + [-2i]*t + [1]"
+    assert ctx.is_zero(evaluate(minpoly, ctx.j))
+    # every conjugate x(j - i)x^-1 + i differs from i
+    assert not member
+    # so no class membership is claimed; the root engine then cannot
+    # decide the product under a non-central inner D
+    with pytest.raises(NotSplitError):
+        class_algebraic_uniqueness(ctx, ctx.j, ctx.i, ctx.one)
+
+
+def test_hq_class_polynomial_vanishes_on_conjugates():
+    rng = rng_for("hq-class", 1)
+    for d in (HQ.i, Quaternion(1, 0, 1, Fraction(-1, 2))):
+        ctx = make_context("HQ", d_desc=("inner", d))
+        for _ in range(10):
+            b = ctx.random_element(rng)
+            minpoly, member = _class_minpoly_and_membership(ctx, b, b)
+            assert member and minpoly.degree in (1, 2)
+            for _ in range(3):
+                x = conjugate(ctx, b, ctx.random_element(rng, nonzero=True))
+                assert ctx.is_zero(evaluate(minpoly, x))
+
+
+def test_hq_class_polynomial_without_derivation_is_trace_and_norm():
+    rng = rng_for("hq-class", 2)
+    for _ in range(100):
+        b = HQ.random_element(rng)
+        minpoly, _ = _class_minpoly_and_membership(HQ, b, HQ.zero)
+        if b.is_central():
+            assert minpoly == SkewPolynomial.linear(HQ, b)
+        else:
+            assert minpoly == SkewPolynomial(HQ, (HQ.from_int(b.norm()),
+                                                  HQ.from_int(-b.trace()),
+                                                  HQ.one))

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import backend_contexts, rng_for
 from wpoly.errors import CapabilityMissingError, ContextMismatchError
-from wpoly.rings import (FiniteFieldContext, Quaternion, RatFunc,
+from wpoly.rings import (FiniteFieldContext, Quaternion, RatFunc, gf_field,
                          make_context)
 
 BACKENDS = backend_contexts()
@@ -75,6 +75,34 @@ def test_frobenius_and_preimage():
         assert f8.s_preimage(f8.S(a)) == a
         assert f8.S(f8.s_preimage(a)) == a
     assert f8.s_pow(f8.w, 3) == f8.w
+
+
+def test_finite_field_elements_are_interned_once_per_field():
+    f8 = make_context("F8")
+    twisted = make_context("F8", ("frob", 2), ("inner", f8.w))
+    for other in (FiniteFieldContext.F8(), twisted):
+        assert all(a is b for a, b in zip(f8.elements(), other.elements()))
+    # the modulus is read mod p before the field is looked up
+    assert gf_field(2, 2, (1, 1, 1)) is gf_field(2, 2, (3, 1, 1))
+    f4 = make_context("F4")
+    assert not f4.w == f8.w
+    with pytest.raises(ContextMismatchError):
+        f4.w + f8.w
+    with pytest.raises(ContextMismatchError):
+        f4.w * f8.w
+
+
+@pytest.mark.parametrize("name", ["F4", "F8"])
+def test_s_table_is_a_frobenius_power(name):
+    k = make_context(name).k
+    for e in range(k + 2):
+        ctx = make_context(name, ("frob", e))
+        for a in ctx.elements():
+            power = ctx.one
+            for _ in range(2 ** e):
+                power = power * a
+            assert ctx.S(a) is power
+            assert ctx.s_preimage(ctx.S(a)) is a
 
 
 def test_identity_descriptor_normalizes_to_frob_zero():
@@ -178,6 +206,11 @@ def test_describe_and_keys():
     assert BACKENDS["HQ"].describe() == "HQ [S=id, D=0]"
     assert BACKENDS["F8"] != BACKENDS["F8-inner"]
     assert BACKENDS["F8"] == make_context("F8")
+    f8 = make_context("F8", ("frob", 2), ("inner", BACKENDS["F8"].w))
+    same = FiniteFieldContext.F8(("frob", 2), ("inner", f8.w))
+    assert same == f8 and hash(same) == hash(f8)
+    assert make_context("F8", ("frob", 2), ("inner", f8.one + f8.w)) != f8
+    assert make_context("F8", ("frob", 2)) != f8
     # an inner derivation by a central element is zero once S = id
     hq = BACKENDS["HQ"]
     assert make_context("HQ", d_desc=("inner", hq.from_int(2))) == hq

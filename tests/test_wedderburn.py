@@ -6,7 +6,8 @@ import pytest
 
 from helpers import backend_contexts, random_poly, random_set, rng_for
 from wpoly.algsets import minimal_polynomial, rank
-from wpoly.errors import DisjointnessError, NotPIndependentError, NotSplitError
+from wpoly.errors import (DisjointnessError, DomainRequiredError,
+                          NotPIndependentError, NotSplitError)
 from wpoly.evaluate import conjugacy_class_reps, conjugate, evaluate
 from wpoly.parsing import parse_polynomial
 from wpoly.rings import make_context
@@ -334,6 +335,14 @@ def test_product_rank_bound():
         h = random_poly(f4, rng, 2, monic=True, min_deg=1)
         lhs, rhs = product_rank_bound(g, h)
         assert lhs <= rhs
+
+
+def test_rank_check_names_itself_when_a_domain_is_missing():
+    hq = BACKENDS["HQ"]
+    with pytest.raises(DomainRequiredError) as err:
+        phi_rank_check(SkewPolynomial.linear(hq, hq.i), [hq.j])
+    assert str(err.value) == ("the phi rank identity over HQ needs an "
+                              "explicit search domain")
 
 
 def test_rank_theorem_quaternion_instances():
