@@ -659,6 +659,9 @@ def main(argv=None):
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a broken internal invariant
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

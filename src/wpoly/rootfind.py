@@ -6,16 +6,16 @@ untwisted rational-function rings; a Riccati solver for quadratics twisted
 by d/dx; and the quaternion class machinery (norm polynomial, its central
 factors of degree <= 2 from the same factorization over Z, class
 representatives from sum-of-squares decompositions).
+
+sympy is imported inside the functions that call it, so it loads only
+when a root engine over Q, HQ, Q(x) or Q(u) runs; the finite rings and
+the arithmetic commands start without it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-
-import sympy
-from sympy.solvers.diophantine.diophantine import sum_of_squares
-from sympy.solvers.ode.riccati import solve_riccati
 
 from .errors import NotSplitError
 from .rings import Quaternion, RatFunc, _qp_to_int, qp_trim
@@ -37,8 +37,16 @@ def rational_poly_roots(coeffs):
 # ---------------------------------------------------------------------------
 # sympy bridges for rational functions
 
+def solve_riccati(*args):
+    """sympy's rational Riccati solver, imported when it is called."""
+    from sympy.solvers.ode.riccati import solve_riccati
+    return solve_riccati(*args)
+
+
 def _rf_to_sympy(a, x):
     """a with its denominator made monic, as a sympy expression in x."""
+    import sympy
+
     lc = a.iden[-1]
     num, den = (sum((sympy.Rational(c, lc) * x**i for i, c in enumerate(p)),
                     sympy.Integer(0)) for p in (a.inum, a.iden))
@@ -47,6 +55,8 @@ def _rf_to_sympy(a, x):
 
 def _sympy_to_rf(expr, x, var):
     """Convert a sympy expression to RatFunc; None if not rational over Q."""
+    import sympy
+
     expr = sympy.cancel(sympy.together(expr))
     num, den = expr.as_numer_denom()
     try:
@@ -75,6 +85,8 @@ def ratfunc_classical_roots(ctx, f):
     Classical commutative case: clear denominators and read the roots off
     the linear-in-t factors of the resulting bivariate polynomial.
     """
+    import sympy
+
     x, tv = sympy.symbols("x_ t_")
     expr = sympy.Integer(0)
     for i, c in enumerate(f.coeffs):
@@ -130,6 +142,8 @@ def derivation_quadratic_roots(ctx, f):
             if not ctx.is_zero(evaluate(f, r)):
                 raise AssertionError(f"Riccati root {r} of {f} fails evaluation")
         return roots, False
+    import sympy  # only the solver route needs it
+
     x = sympy.Symbol("x_")
     fx = sympy.Function("f_")(x)
     b0 = -_rf_to_sympy(q, x)
@@ -197,6 +211,8 @@ def central_factor_candidates(ncoeffs):
     monic irreducible factors over Q.  Returns ('lin', r) for t - r and
     ('quad', p, q) for t^2 - p*t + q, sorted.
     """
+    import sympy
+
     nc = qp_trim(ncoeffs)
     if len(nc) <= 1:
         return []
@@ -221,6 +237,8 @@ def quaternion_class_rep(p, q):
     i, j, k axes as a rational sum-of-squares decomposition allows, filled
     in ascending order.
     """
+    from sympy.solvers.diophantine.diophantine import sum_of_squares
+
     m = q - p * p / 4
     if m <= 0:
         return None

@@ -16,7 +16,7 @@ NEG_INF = float("-inf")
 
 
 class SkewPolynomial:
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "_hash")
 
     def __init__(self, ctx, coeffs):
         cs = list(coeffs)
@@ -24,6 +24,7 @@ class SkewPolynomial:
             cs.pop()
         self.ctx = ctx
         self.coeffs = tuple(cs)
+        self._hash = None
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -187,7 +188,9 @@ class SkewPolynomial:
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ctx.key, self.coeffs))
+        if self._hash is None:  # computed once: polynomials are immutable
+            self._hash = hash((self.ctx.key, self.coeffs))
+        return self._hash
 
     def __str__(self):
         if not self.coeffs:

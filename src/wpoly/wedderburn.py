@@ -469,9 +469,12 @@ def _bezout_one_membership(g, h):
 def left_root_report(f) -> RootReport:
     """Exact description of V'(f) = {b : f in (t-b)R} where available.
 
-    Finite contexts enumerate.  Quaternions use the anti-automorphism
-    x -> conj(x): b is a left root of f exactly when conj(b) is a right
-    root of the coefficient-conjugated polynomial.
+    Finite contexts enumerate.  Quaternions with D = 0 use the
+    anti-automorphism x -> conj(x): b is a left root of f exactly when
+    conj(b) is a right root of the coefficient-conjugated polynomial.
+    Under an inner D = inner(d) the conjugate of f is sum t^i conj(f_i)
+    in the ring twisted by inner(conj(d)), not the coefficient-conjugated
+    polynomial, so that case is refused.
     """
     ctx = f.ctx
     if f.is_zero():
@@ -479,6 +482,9 @@ def left_root_report(f) -> RootReport:
     if ctx.finite:
         return RootReport(f, True, tuple(left_roots(f)), (), "enumeration")
     if ctx.kind == "HQ":
+        if ctx.d_desc[0] != "zero":
+            raise NotSplitError(
+                f"the quaternion root engine assumes D = 0, not {ctx.describe()}")
         fbar = SkewPolynomial(ctx, tuple(c.conjugate() for c in f.coeffs))
         rep = right_root_report(fbar)
         roots = tuple(sorted((r.conjugate() for r in rep.roots),

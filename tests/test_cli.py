@@ -216,13 +216,29 @@ def test_golden_cli_outputs(capsys):
 
 
 def test_cli_import_leaves_numpy_out():
+    # sympy loads only when a root engine over an infinite ring runs
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, wpoly.cli; print('numpy' in sys.modules)"
+    code = """if True:
+        import sys
+        import wpoly
+        loaded = [m in sys.modules for m in ("numpy", "sympy")]
+        from wpoly import cli
+        loaded += [m in sys.modules for m in ("numpy", "sympy")]
+        for argv in (["eval", "--ring", "F4", "t^2 + [w]*t + [1]", "w"],
+                     ["rgcd", "--ring", "Q", "t^2 + [-1]", "t + [1]"],
+                     ["minpoly", "--ring", "F8", "--S", "frob", "1,w"],
+                     ["lattice", "check", "--ring", "F4", "--S", "frob"]):
+            assert cli.main(argv) == 0, argv
+            loaded.append("sympy" in sys.modules)
+        assert cli.main(["roots", "--ring", "Q", "t^2 + [-1]"]) == 0
+        loaded.append("sympy" in sys.modules)
+        print(loaded, file=sys.stderr)
+    """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stderr.strip() == str([False] * 8 + [True])
 
 
 def test_lattice_check_summary(capsys):
@@ -283,6 +299,29 @@ def test_batch_runs_lines_and_keeps_worst_exit(capsys, tmp_path):
     assert code == 2
     assert out.count("f(a) = 0") == 2
     assert err.strip() == "error: No closing quotation"
+
+
+def test_internal_error_exits_three(capsys, monkeypatch, tmp_path):
+    # a broken invariant prints one line and exits 3; batch goes on
+    def broken(args):
+        raise AssertionError("norm polynomial has a non-central coefficient")
+
+    monkeypatch.setattr(cli, "_cmd_minpoly", broken)
+    code, out, err = run(["minpoly", "--ring", "F4", "1,w"], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("internal error: norm polynomial has a non-central "
+                   "coefficient\n")
+    script = tmp_path / "cmds.txt"
+    script.write_text(
+        "eval --ring HQ \"t^2 + [1]\" i\n"
+        "minpoly --ring F4 1,w\n"
+        "closure-member --ring HQ --strict j i\n")
+    code, out, err = run(["batch", str(script)], capsys)
+    assert code == 3
+    assert out.count("$ ") == 3 and out.count("f(a) = 0") == 1
+    assert out.endswith("j in closure{i}: false\n")
+    assert err == ("internal error: norm polynomial has a non-central "
+                   "coefficient\n")
 
 
 def test_batch_line_inside_batch_is_refused(capsys, tmp_path):

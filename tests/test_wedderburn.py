@@ -12,7 +12,8 @@ from wpoly.evaluate import conjugacy_class_reps, conjugate, evaluate
 from wpoly.parsing import parse_polynomial
 from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial, monic_polynomials, product_of_linears
-from wpoly.wedderburn import (IS_W, NOT_W, centralizer, diagonalization_check,
+from wpoly import wedderburn
+from wpoly.wedderburn import (IS_W, NOT_W, RootReport, centralizer, diagonalization_check,
                               dual_representation, exponential_space,
                               factor_theorem_check, is_wedderburn,
                               left_root_report, monic_factors,
@@ -198,6 +199,21 @@ def test_left_root_report_quaternion_conjugate_transpose():
     report = left_root_report(g)
     assert not report.finite
     assert report.classes[0].dimension == 2
+
+
+def test_left_roots_of_quaternions_under_an_inner_derivation_are_refused(
+        monkeypatch):
+    # under inner(i) the left root 1 + j of (t - (1+j))(t - (i+2k)) does not
+    # come back as the conjugate of a right root of the coefficient-
+    # conjugated polynomial, so the guard must fire even when the right-root
+    # engine answers
+    hq = make_context("HQ", d_desc=("inner", BACKENDS["HQ"].i))
+    f = product_of_linears(hq, [hq.i + hq.k + hq.k, hq.one + hq.j])
+    monkeypatch.setattr(wedderburn, "right_root_report",
+                        lambda g: RootReport(g, True, (), (), "stub"))
+    with pytest.raises(NotSplitError,
+                       match="^the quaternion root engine assumes D = 0"):
+        left_root_report(f)
 
 
 # ---------------------------------------------------------------------------
