@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from helpers import backend_contexts, random_poly, random_set, rng_for
+from wpoly import wedderburn
 from wpoly.algsets import minimal_polynomial, rank
 from wpoly.errors import (DisjointnessError, DomainRequiredError,
                           NotPIndependentError, NotSplitError)
@@ -12,10 +13,10 @@ from wpoly.evaluate import conjugacy_class_reps, conjugate, evaluate
 from wpoly.parsing import parse_polynomial
 from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial, monic_polynomials, product_of_linears
-from wpoly import wedderburn
-from wpoly.wedderburn import (IS_W, NOT_W, RootReport, centralizer, diagonalization_check,
-                              dual_representation, exponential_space,
-                              factor_theorem_check, is_wedderburn,
+from wpoly.wedderburn import (IS_W, NOT_W, RootReport, centralizer,
+                              diagonalization_check, dual_representation,
+                              exponential_space, factor_theorem_check,
+                              is_wedderburn,
                               left_root_report, monic_factors,
                               phi_rank_check, product_rank_bound,
                               product_theorem_check, rank_union_check,
