@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd as _igcd, lcm
+from math import gcd as _igcd, isqrt, lcm
 
 from .errors import CapabilityMissingError, ContextMismatchError
 
@@ -82,9 +82,49 @@ def _ip_primitive(a):
     return [v // g for v in a] if g > 1 else a
 
 
-def ip_gcd(a, b):
-    """Primitive gcd of two nonzero integer polynomials, by a primitive
-    PRS; its sign is arbitrary."""
+def _ip_exact_div(a, b):
+    """a / b for nonzero integer polynomials when b divides a in Z[x], else
+    None."""
+    a = list(a)
+    lb = b[-1]
+    db = len(b)
+    n = len(a) - db + 1
+    if n <= 0:
+        return None
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        c, r = divmod(a[k + db - 1], lb)
+        if r:
+            return None
+        if c:
+            q[k] = c
+            for i in range(db - 1):
+                a[k + i] -= c * b[i]
+    return None if any(a[:db - 1]) else tuple(q)
+
+
+def _ip_eval(a, xi):
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
+
+
+def _ip_balanced_digits(v, xi):
+    """The integer polynomial h with h(xi) = v and |coefficients| <= xi/2."""
+    out = []
+    half = xi // 2
+    while v:
+        d = v % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        v = (v - d) // xi
+    return out
+
+
+def _ip_prs_gcd(a, b):
+    """Primitive gcd of two nonzero integer polynomials, by a primitive PRS."""
     a, b = _ip_primitive(a), _ip_primitive(b)
     if len(a) < len(b):
         a, b = b, a
@@ -92,23 +132,43 @@ def ip_gcd(a, b):
         a, b = b, _ip_pseudo_rem(a, b)
         if b:
             b = _ip_primitive(b)
-    return a
+    return tuple(a)
 
 
-def _ip_exact_quo(a, b):
-    """a / b for integer polynomials when b is primitive and divides a over
-    Q; by Gauss's lemma the quotient then has integer coefficients."""
-    a = list(a)
-    lb = b[-1]
-    db = len(b)
-    q = [0] * (len(a) - db + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + db - 1] // lb
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                a[k + i] -= c * bi
-    return tuple(q)
+def ip_gcd(a, b):
+    """``(g, a/g, b/g)`` for nonzero integer polynomials a and b, where g is
+    their primitive gcd (of arbitrary sign) and both cofactors lie in Z[x].
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989): with a', b'
+    the primitive parts, take gamma = igcd(a'(xi), b'(xi)) and read g as the
+    primitive part of gamma's balanced base-xi digits.  g is accepted only
+    when exact division over Z shows that it divides a and b; the quotients
+    are the cofactors.  Starting from xi = 2 min(|a'|, |b'|) + 2 (max-norms)
+    an accepted g is the gcd, not merely a common divisor: a root of any
+    common factor has modulus below xi/2, so a missing factor q of degree
+    >= 1 would have |q(xi)| > xi/2 >= the content of the digits, which q(xi)
+    divides.  xi grows after a rejected g; after six tries the primitive
+    PRS decides.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    ca, cb = _igcd(*a), _igcd(*b)
+    xi = 2 * min(max(map(abs, a)) // ca, max(map(abs, b)) // cb) + 2
+    for _ in range(6):
+        va, vb = _ip_eval(a, xi) // ca, _ip_eval(b, xi) // cb
+        if va and vb:
+            g = _ip_balanced_digits(_igcd(va, vb), xi)
+            if len(g) == 1:
+                return (1,), a, b
+            g = _ip_primitive(g)
+            qa = _ip_exact_div(a, g)
+            if qa is not None:
+                qb = _ip_exact_div(b, g)
+                if qb is not None:
+                    return tuple(g), qa, qb
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    g = _ip_prs_gcd(a, b)
+    return g, _ip_exact_div(a, g), _ip_exact_div(b, g)
 
 
 def ip_deriv(a):
@@ -171,15 +231,9 @@ def _rf(inum, iden, var):
     return r
 
 
-def _canonical(inum, iden):
-    """The canonical form of inum/iden, integer tuples with inum trimmed
-    and iden nonzero."""
-    if not inum:
-        return (), (1,)
-    if len(inum) > 1 and len(iden) > 1:
-        g = ip_gcd(inum, iden)
-        if len(g) > 1:
-            inum, iden = _ip_exact_quo(inum, g), _ip_exact_quo(iden, g)
+def _content_free(inum, iden):
+    """inum/iden, coprime over Q, without integer content and with a
+    positive leading denominator coefficient."""
     c = _igcd(*inum, *iden)
     if iden[-1] < 0:
         c = -c
@@ -187,6 +241,15 @@ def _canonical(inum, iden):
         inum = tuple(v // c for v in inum)
         iden = tuple(v // c for v in iden)
     return inum, iden
+
+
+def _canonical(inum, iden):
+    """The canonical form of inum/iden, integer tuples with inum trimmed
+    and iden nonzero."""
+    if not inum:
+        return (), (1,)
+    _, inum, iden = ip_gcd(inum, iden)
+    return _content_free(inum, iden)
 
 
 def _rf_reduce(inum, iden, var):
@@ -207,7 +270,9 @@ class RatFunc:
     are coprime, share no integer content, and give ``iden`` a positive
     leading coefficient; zero is ()/(1,).  The form is unique, so equality
     and hashing compare the tuples.  The variable name is part of the
-    value, so Q(x) and Q(u) do not mix.
+    value, so Q(x) and Q(u) do not mix.  ``+`` and ``*`` reduce each
+    result with gcds of parts of their operands (Henrici), not with one
+    gcd of the unreduced result.
     """
 
     __slots__ = ("inum", "iden", "var")
@@ -266,21 +331,30 @@ class RatFunc:
     def __hash__(self):
         return hash((self.var, self.inum, self.iden))
 
+    # Henrici's cancellation (Knuth, TAOCP vol. 2, 4.5.1): the gcds are
+    # taken on the operands' parts, which are smaller than the results'
     def __add__(self, other):
         if self._coerced(other) is None:
             return NotImplemented
         a, b, c, d = self.inum, self.iden, other.inum, other.iden
-        if b == d:
-            return _rf_reduce(ip_add(a, c), b, self.var)
-        return _rf_reduce(ip_add(ip_mul(a, d), ip_mul(c, b)), ip_mul(b, d), self.var)
+        if not a:
+            return other
+        if not c:
+            return self
+        # a/b + c/d = (a d1 + c b1) / (b1 d1 g) with g = gcd(b, d); only a
+        # factor of g can be common to the two parts
+        g, b1, d1 = ip_gcd(b, d)
+        num = ip_add(ip_mul(a, d1), ip_mul(c, b1))
+        if not num:
+            return _rf((), (1,), self.var)
+        if len(g) > 1:
+            _, num, g = ip_gcd(num, g)
+        return _rf(*_content_free(num, ip_mul(ip_mul(b1, d1), g)), self.var)
 
     def __sub__(self, other):
         if self._coerced(other) is None:
             return NotImplemented
-        a, b, c, d = self.inum, self.iden, other.inum, other.iden
-        if b == d:
-            return _rf_reduce(ip_sub(a, c), b, self.var)
-        return _rf_reduce(ip_sub(ip_mul(a, d), ip_mul(c, b)), ip_mul(b, d), self.var)
+        return self + -other
 
     def __neg__(self):
         return _rf(tuple(-v for v in self.inum), self.iden, self.var)
@@ -288,8 +362,12 @@ class RatFunc:
     def __mul__(self, other):
         if self._coerced(other) is None:
             return NotImplemented
-        return _rf_reduce(ip_mul(self.inum, other.inum),
-                          ip_mul(self.iden, other.iden), self.var)
+        a, b, c, d = self.inum, self.iden, other.inum, other.iden
+        if not a or not c:
+            return _rf((), (1,), self.var)
+        _, a, d = ip_gcd(a, d)
+        _, c, b = ip_gcd(c, b)
+        return _rf(*_content_free(ip_mul(a, c), ip_mul(b, d)), self.var)
 
     def __truediv__(self, other):
         if self._coerced(other) is None:

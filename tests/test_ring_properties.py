@@ -82,7 +82,7 @@ def test_ratfunc_maps_match_sympy(p):
 
 @PROPS
 @given(fractions_of_polys, fractions_of_polys,
-       st.lists(small, min_size=1, max_size=2).filter(any),
+       st.lists(small, min_size=1, max_size=4).filter(any),
        st.integers(1, 5))
 def test_ratfunc_equality_is_canonical(p, q, common, scale):
     a, b = _rf(p)[0], _rf(q)[0]

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import backend_contexts, rng_for
+from wpoly import rings
 from wpoly.errors import CapabilityMissingError, ContextMismatchError
 from wpoly.rings import (FiniteFieldContext, Quaternion, RatFunc, gf_field,
-                         make_context)
+                         ip_gcd, ip_mul, make_context)
 
 BACKENDS = backend_contexts()
 
@@ -126,6 +127,77 @@ def test_ratfunc_canonical_form():
         RatFunc((1,), (0,), "x")
     with pytest.raises(ZeroDivisionError):
         RatFunc.const(0, "x").inverse()
+
+
+def test_ip_gcd_start_point_is_above_the_norm_bound():
+    # xi = 2 min(|a|/|lc a|, |b|/|lc b|) + 2 = 4 reads gamma = 2 as the
+    # constant 2 and so misses x - 2; the bound 2 min(|a|, |b|) + 2 = 8
+    # does not
+    a, b = (2, 3, -2), (4, -4, 1)
+    g, qa, qb = ip_gcd(a, b)
+    assert g in ((-2, 1), (2, -1))
+    sign = 1 if g == (-2, 1) else -1
+    assert qa == tuple(sign * v for v in (-1, -2))
+    assert qb == tuple(sign * v for v in (-2, 1))
+    assert ip_mul(g, qa) == a and ip_mul(g, qb) == b
+
+
+def test_ip_gcd_matches_the_prs_on_planted_factors(monkeypatch):
+    prs = rings._ip_prs_gcd
+    fallbacks = []
+    monkeypatch.setattr(rings, "_ip_prs_gcd",
+                        lambda a, b: fallbacks.append((a, b)) or prs(a, b))
+    rng = rng_for("ip_gcd", 1)
+
+    def poly(deg):
+        coeffs = [rng.randint(-50, 50) for _ in range(deg)]
+        return tuple(coeffs) + (rng.choice([-1, 1]) * rng.randint(1, 50),)
+
+    for _ in range(2000):
+        common = poly(rng.randint(0, 3))
+        a = ip_mul(common, poly(rng.randint(0, 4)))
+        b = ip_mul(common, poly(rng.randint(0, 4)))
+        g, qa, qb = ip_gcd(a, b)
+        want = prs(a, b) if len(a) > 1 and len(b) > 1 else (1,)
+        assert g in (want, tuple(-v for v in want)), (a, b)
+        assert ip_mul(g, qa) == a and ip_mul(g, qb) == b, (a, b)
+    # every pair was answered by the heuristic, so the PRS above is an
+    # independent reference
+    assert fallbacks == []
+
+
+def test_henrici_sum_shares_a_factor_with_the_denominator_gcd():
+    x, one = RatFunc.gen("x"), RatFunc.const(1, "x")
+    # gcd(x^2 - x, x^2 + x) = x, and the cross sum 2x keeps that x
+    total = one / (x * x - x) + one / (x * x + x)
+    assert total == RatFunc((2,), (-1, 0, 1), "x")
+    assert (total.inum, total.iden) == ((2,), (-1, 0, 1))
+
+
+def test_henrici_product_cancels_both_cross_gcds():
+    x, one = RatFunc.gen("x"), RatFunc.const(1, "x")
+    product = (x / (x + one)) * ((x + one) / x)
+    assert product == one and (product.inum, product.iden) == ((1,), (1,))
+    # integer content still cancels across the two operands
+    half = RatFunc((1,), (2,), "x")
+    assert (RatFunc((2,), (1, 1), "x") * (half / (x + one))
+            == RatFunc((1,), (1, 2, 1), "x"))
+
+
+def test_henrici_difference_with_itself_is_zero():
+    for r in (RatFunc((1, 0, 1), (-1, 1), "x"), RatFunc((3,), (2, 2), "x"),
+              RatFunc.const(Fraction(-2, 3), "x")):
+        diff = r - r
+        assert diff == RatFunc.const(0, "x") and not diff
+        assert (diff.inum, diff.iden) == ((), (1,))
+
+
+def test_henrici_sum_with_a_constant_denominator():
+    x, one = RatFunc.gen("x"), RatFunc.const(1, "x")
+    total = x / (x + one) + RatFunc.const(Fraction(1, 2), "x")
+    assert (total.inum, total.iden) == ((1, 3), (2, 2))
+    assert str(total) == "(3/2x+1/2)/(x+1)"
+    assert total - RatFunc.const(Fraction(1, 2), "x") == x / (x + one)
 
 
 def test_ratfunc_variables_do_not_mix():
