@@ -15,11 +15,11 @@ from .skew import SkewPolynomial
 
 def _check_distinct(ctx, elements):
     elems = tuple(elements)
-    seen = []
+    seen = set()
     for a in elems:
-        if any(a == b for b in seen):
+        if a in seen:
             raise ValueError(f"duplicate generator {a}")
-        seen.append(a)
+        seen.add(a)
     return elems
 
 
@@ -77,11 +77,7 @@ def closure(ctx, elements, domain=None):
     elems = _check_distinct(ctx, elements)
     f = minimal_polynomial(ctx, elems).poly
     found = right_roots(f, _resolve_domain(ctx, domain, "closure"))
-    for a in elems:
-        if not any(a == b for b in found):
-            found.append(a)
-    found.sort(key=ctx.sort_key)
-    return tuple(found)
+    return tuple(sorted(dict.fromkeys(found + list(elems)), key=ctx.sort_key))
 
 
 def is_full(ctx, elements, domain=None) -> bool:

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every math subcommand takes ``--ring {Q|F4|F8|Qx|Qu|HQ}``, ``--S
-{id|frob[:e]|xsq}`` and ``--D {zero|ddx|inner:<element>}``; invalid
-combinations are rejected when the context is built.  Output is canonical
-text, or one JSON document per invocation with ``--json`` (fields: ring,
-inputs, result, and certificate where one exists; key order is sorted, so
-output is stable across runs).
+Every subcommand takes ``--ring {Q|F4|F8|Qx|Qu|HQ}``, ``--S
+{id|frob[:e]|xsq}`` and ``--D {zero|ddx|inner:<element>}``.  ``main``
+builds the context once and passes it to the handler, so an invalid
+combination exits 2 before any subcommand runs, ``batch`` and ``examples``
+included.  Output is canonical text, or one JSON document per invocation
+with ``--json`` (fields: ring, inputs, result, and certificate where one
+exists; key order is sorted, so output is stable across runs).
 
 Exit codes: 0 on success, 1 when a decision procedure answers "no" and
 ``--strict`` was given, 2 on usage or parse errors.  The ``examples``
@@ -118,10 +119,9 @@ def _not_split(args, ctx, inputs, exc):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the parsed arguments and the context
 
-def _cmd_eval(args):
-    ctx = build_context(args)
+def _cmd_eval(args, ctx):
     f = parse_polynomial(args.poly, ctx)
     a = parse_element(args.at, ctx)
     value = str(evaluate(f, a))
@@ -129,8 +129,7 @@ def _cmd_eval(args):
     return _emit(args, ctx, inputs, {"value": value}, [f"f(a) = {value}"])
 
 
-def _cmd_conj(args):
-    ctx = build_context(args)
+def _cmd_conj(args, ctx):
     a = parse_element(args.base, ctx)
     c = parse_element(args.by, ctx)
     if ctx.is_zero(c):
@@ -140,8 +139,7 @@ def _cmd_conj(args):
     return _emit(args, ctx, inputs, {"value": str(value)}, [f"a^c = {value}"])
 
 
-def _cmd_phi(args):
-    ctx = build_context(args)
+def _cmd_phi(args, ctx):
     h = parse_polynomial(args.h, ctx)
     a = parse_element(args.at, ctx)
     value = phi_transform(h, a)
@@ -154,8 +152,7 @@ def _cmd_phi(args):
                  [f"phi_h(a) = {value}"])
 
 
-def _cmd_roots(args, left=False):
-    ctx = build_context(args)
+def _cmd_roots(args, ctx, left=False):
     f = parse_polynomial(args.poly, ctx)
     inputs = {"poly": args.poly}
     try:
@@ -167,8 +164,7 @@ def _cmd_roots(args, left=False):
     return _emit(args, ctx, inputs, result, lines)
 
 
-def _cmd_minpoly(args):
-    ctx = build_context(args)
+def _cmd_minpoly(args, ctx):
     elems = parse_elements(args.set, ctx)
     res = algsets.minimal_polynomial(ctx, elems)
     inputs = {"set": args.set}
@@ -180,15 +176,13 @@ def _cmd_minpoly(args):
     return _emit(args, ctx, inputs, result, lines)
 
 
-def _cmd_rank(args):
-    ctx = build_context(args)
+def _cmd_rank(args, ctx):
     elems = parse_elements(args.set, ctx)
     r = algsets.rank(ctx, elems)
     return _emit(args, ctx, {"set": args.set}, {"rank": r}, [f"rank = {r}"])
 
 
-def _cmd_pbasis(args):
-    ctx = build_context(args)
+def _cmd_pbasis(args, ctx):
     elems = parse_elements(args.set, ctx)
     res = algsets.minimal_polynomial(ctx, elems)
     result = {"basis": [str(b) for b in res.basis], "rank": res.rank}
@@ -197,8 +191,7 @@ def _cmd_pbasis(args):
     return _emit(args, ctx, {"set": args.set}, result, lines)
 
 
-def _cmd_closure_member(args):
-    ctx = build_context(args)
+def _cmd_closure_member(args, ctx):
     x = parse_element(args.elem, ctx)
     elems = parse_elements(args.set, ctx)
     member = algsets.is_p_dependent(ctx, x, elems)
@@ -209,8 +202,7 @@ def _cmd_closure_member(args):
                  negative=not member)
 
 
-def _cmd_is_wedderburn(args):
-    ctx = build_context(args)
+def _cmd_is_wedderburn(args, ctx):
     f = parse_polynomial(args.poly, ctx)
     inputs = {"poly": args.poly}
     try:
@@ -232,8 +224,7 @@ def _cmd_is_wedderburn(args):
                  negative=not cert.is_w)
 
 
-def _cmd_split(args):
-    ctx = build_context(args)
+def _cmd_split(args, ctx):
     f = parse_polynomial(args.poly, ctx)
     inputs = {"poly": args.poly}
     try:
@@ -247,8 +238,7 @@ def _cmd_split(args):
                  certificate=certificate)
 
 
-def _cmd_dual(args):
-    ctx = build_context(args)
+def _cmd_dual(args, ctx):
     basis = parse_elements(args.set, ctx)
     duals = wedderburn.dual_representation(ctx, basis)
     f = algsets.minimal_polynomial(ctx, basis).poly
@@ -260,8 +250,7 @@ def _cmd_dual(args):
     return _emit(args, ctx, inputs, result, lines)
 
 
-def _cmd_expspace(args):
-    ctx = build_context(args)
+def _cmd_expspace(args, ctx):
     f = parse_polynomial(args.poly, ctx)
     a = parse_element(args.rep, ctx)
     basis = wedderburn.exponential_space(f, a)
@@ -274,8 +263,7 @@ def _cmd_expspace(args):
     return _emit(args, ctx, inputs, result, lines)
 
 
-def _cmd_vandermonde(args):
-    ctx = build_context(args)
+def _cmd_vandermonde(args, ctx):
     f = parse_polynomial(args.poly, ctx)
     roots = parse_elements(args.roots, ctx)
     ok = wedderburn.diagonalization_check(f, roots)
@@ -285,8 +273,7 @@ def _cmd_vandermonde(args):
     return _emit(args, ctx, inputs, {"holds": ok}, lines, negative=not ok)
 
 
-def _cmd_rank_theorems(args):
-    ctx = build_context(args)
+def _cmd_rank_theorems(args, ctx):
     domain = parse_elements(args.domain, ctx) if args.domain else None
     if args.theorem == "union":
         delta = parse_elements(args.delta, ctx)
@@ -312,8 +299,7 @@ def _cmd_rank_theorems(args):
     return _emit(args, ctx, inputs, result, lines, negative=not holds)
 
 
-def _cmd_gcd(args, want):
-    ctx = build_context(args)
+def _cmd_gcd(args, ctx, want):
     f = parse_polynomial(args.f, ctx)
     g = parse_polynomial(args.g, ctx)
     res = rgcd_llcm(f, g)
@@ -328,8 +314,7 @@ def _cmd_gcd(args, want):
     return _emit(args, ctx, inputs, result, [f"llcm = {res.llcm}"])
 
 
-def _cmd_lattice(args):
-    ctx = build_context(args)
+def _cmd_lattice(args, ctx):
     fl = lattices.build_full_lattice(ctx)
     wl = lattices.build_w_lattice(ctx)
     inputs = {"action": args.action}
@@ -361,8 +346,7 @@ def _cmd_lattice(args):
     return _emit(args, ctx, inputs, result, lines, negative=not ok)
 
 
-def _cmd_metro(args):
-    ctx = build_context(args)
+def _cmd_metro(args, ctx):
     a = parse_element(args.a, ctx)
     b = parse_element(args.b, ctx)
     c = parse_element(args.c, ctx)
@@ -405,7 +389,7 @@ def _cmd_metro(args):
                  negative=rep.solvable is not True)
 
 
-def _cmd_batch(args):
+def _cmd_batch(args, ctx):
     with open(args.file, encoding="utf-8") as handle:
         lines = handle.readlines()
     worst = 0
@@ -502,7 +486,7 @@ def _examples_checks():
     ]
 
 
-def _cmd_examples(args):
+def _cmd_examples(args, ctx):
     checks = _examples_checks()
     failures = 0
     for name, check in checks:
@@ -556,11 +540,11 @@ def _build_parser():
     p.add_argument("h")
     p.add_argument("at")
 
-    p = add("roots", lambda a: _cmd_roots(a, left=False),
+    p = add("roots", _cmd_roots,
             help="right root set, listed or by conjugacy class")
     p.add_argument("poly")
 
-    p = add("left-roots", lambda a: _cmd_roots(a, left=True),
+    p = add("left-roots", lambda a, ctx: _cmd_roots(a, ctx, left=True),
             help="left root set")
     p.add_argument("poly")
 
@@ -610,12 +594,12 @@ def _build_parser():
     p.add_argument("--domain", default="",
                    help="explicit search domain for infinite rings")
 
-    p = add("rgcd", lambda a: _cmd_gcd(a, "rgcd"),
+    p = add("rgcd", lambda a, ctx: _cmd_gcd(a, ctx, "rgcd"),
             help="greatest common right divisor with Bezout cofactors")
     p.add_argument("f")
     p.add_argument("g")
 
-    p = add("llcm", lambda a: _cmd_gcd(a, "llcm"),
+    p = add("llcm", lambda a, ctx: _cmd_gcd(a, ctx, "llcm"),
             help="least common left multiple")
     p.add_argument("f")
     p.add_argument("g")
@@ -649,7 +633,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, build_context(args))
     except NotSplitError as exc:
         print(f"NOT_SPLIT: {exc.reason}", file=sys.stderr)
         return 1 if args.strict else 0

@@ -93,11 +93,7 @@ def _resolve_domain(ctx, domain, what):
     """The distinct elements of an explicit domain, else the whole ring when
     it is finite; ``what`` names the operation in the error otherwise."""
     if domain is not None:
-        seen = []
-        for a in domain:
-            if a not in seen:
-                seen.append(a)
-        return seen
+        return list(dict.fromkeys(domain))
     if ctx.finite:
         return ctx.elements()
     raise DomainRequiredError(f"{what} over {ctx.name} needs an explicit search domain")
@@ -134,10 +130,7 @@ def coset_check(f, roots):
     be a library defect and raises.
     """
     ctx = f.ctx
-    distinct = []
-    for r in roots:
-        if r not in distinct:
-            distinct.append(r)
+    distinct = list(dict.fromkeys(roots))
     n = len(distinct)
     flags = [ctx.s_image_contains(distinct[i] - distinct[j])
              for i in range(n) for j in range(i + 1, n)]

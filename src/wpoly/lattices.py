@@ -370,8 +370,8 @@ def gcd_vs_intersection(ctx, sets):
     g = polys[0]
     for p in polys[1:]:
         g = rgcd_llcm(g, p).rgcd
-    inter = [x for x in sets[0]
-             if all(any(x == y for y in s) for s in sets[1:])]
+    others = [set(s) for s in sets[1:]]
+    inter = [x for x in sets[0] if all(x in s for s in others)]
     return g, minimal_polynomial(ctx, inter).poly
 
 
@@ -398,11 +398,13 @@ def modular_law_check(ctx, gamma, pi, delta, domain=None) -> ModularLawReport:
         raise NotFullError("gamma is not full")
     if not is_full(ctx, pi, domain):
         raise NotFullError("pi is not full")
-    if not all(any(d == g for g in gamma) for d in delta):
+    if not set(gamma).issuperset(delta):
         raise ValueError("delta must be contained in gamma")
-    big = pi + [d for d in delta if not any(d == p for p in pi)]
-    inter = [g for g in gamma if any(g == p for p in pi)]
-    small = inter + [d for d in delta if not any(d == x for x in inter)]
+    pi_set = set(pi)
+    big = pi + [d for d in delta if d not in pi_set]
+    inter = [g for g in gamma if g in pi_set]
+    inter_set = set(inter)
+    small = inter + [d for d in delta if d not in inter_set]
     checked = dependent = 0
     violations = []
     for x in gamma:

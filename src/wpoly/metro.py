@@ -296,7 +296,7 @@ class ClassUniquenessReport:
 def _class_minpoly_and_membership(ctx, b, a):
     if ctx.finite:
         cls = conjugacy_class(ctx, b)
-        member = any(a == x for x in cls)
+        member = a in cls
         return minimal_polynomial(ctx, list(cls)).poly, member
     if ctx.kind == "HQ":
         # a class of HQ is {b}, or it has rank 2 and is the root set of the

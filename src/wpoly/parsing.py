@@ -1,16 +1,20 @@
 """Text forms of ring elements and skew polynomial literals.
 
-One expression grammar covers every ring; which identifiers resolve
-depends on the context (`w` in the finite fields, the variable in the
-rational function fields, `i j k` for quaternions).  A slash directly
-between two integer literals lexes as a single rational number, so
-`-1/2k` reads as (-1/2)*k, exactly what the printers emit; elsewhere
-`/` is ordinary division.  Polynomial literals keep coefficients inside
-square brackets (`t^2 + [1+2i]*t + [j]`), which avoids any ambiguity
-between `it` and `[i]*t`; terms may appear in any order and repeated
-powers accumulate.
+One reader serves both.  An element is an expression in `+ - * / ^`,
+parentheses and juxtaposition over numbers and the symbols of the
+context (`w` in the finite fields, the variable in the rational function
+fields, `i j k` for quaternions).  A slash directly between two integer
+literals lexes as a single rational number, so `-1/2k` reads as
+(-1/2)*k, exactly what the printers emit; elsewhere `/` is ordinary
+division.  A polynomial is the single literal `0` or a sequence of terms
+`[coeff]`, `[coeff]*t^k` and `t^k`, each after a run of signs (optional
+before the first term; each `-` negates).  A coefficient is an element
+read up to the first `]`, so brackets avoid any ambiguity between `it`
+and `[i]*t`.  Terms may appear in any order and repeated powers
+accumulate.  Every exponent is a nonnegative integer literal.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError, WrongRingError
@@ -18,15 +22,7 @@ from .skew import SkewPolynomial
 
 _SYMBOLS = set("+-*/^()[]")
 _KNOWN_ATOMS = frozenset("wxuijk")
-
-
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+_Token = namedtuple("_Token", "kind value pos")
 
 
 def _tokenize(text):
@@ -92,14 +88,16 @@ def _embed(ctx, q, pos):
 
 
 class _ElementReader:
-    """Recursive-descent reader over a token slice."""
+    """Recursive-descent reader over the tokens of one literal."""
 
-    def __init__(self, ctx, toks, lo, hi, text_len):
+    def __init__(self, ctx, text, what):
+        self.toks = _tokenize(text)
+        if not self.toks:
+            raise ParseError(f"empty {what} literal", 0)
         self.ctx = ctx
-        self.toks = toks
-        self.i = lo
-        self.hi = hi
-        self.text_len = text_len
+        self.i = 0
+        self.hi = len(self.toks)
+        self.text_len = len(text)
         self.atoms = _atoms_for(ctx)
 
     def peek(self):
@@ -111,9 +109,29 @@ class _ElementReader:
             self.i += 1
         return tok
 
+    def take(self, kind, value=None):
+        """Consume the next token if it has this kind (and value)."""
+        tok = self.peek()
+        hit = tok is not None and tok.kind == kind and value in (None, tok.value)
+        if hit:
+            self.i += 1
+        return hit
+
     def here(self):
         tok = self.peek()
         return tok.pos if tok is not None else self.text_len
+
+    def element(self, hi, trailing):
+        """expr() over the tokens before `hi`, which it must use up."""
+        self.hi = hi
+        try:
+            value = self.expr()
+        except ZeroDivisionError:
+            raise ParseError("division by zero", self.here()) from None
+        if self.i != hi:
+            raise ParseError(trailing, self.here())
+        self.hi = len(self.toks)
+        return value
 
     def expr(self):
         tok = self.peek()
@@ -154,23 +172,24 @@ class _ElementReader:
                 return value
 
     def factor(self):
-        value = self.atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "^":
-            self.advance()
-            value = self._power(value)
-        return value
-
-    def _power(self, base):
-        tok = self.advance()
-        if tok is None or tok.kind != "num" or tok.value.denominator != 1:
-            raise ParseError("exponent must be a nonnegative integer",
-                             tok.pos if tok else self.text_len)
-        e = tok.value.numerator
+        base = self.atom()
+        e = self.exponent()
+        if e == 1:
+            return base
         out = self.ctx.one
         for _ in range(e):
             out = out * base
         return out
+
+    def exponent(self):
+        """The nonnegative integer after an optional '^'; 1 without one."""
+        if not self.take("^"):
+            return 1
+        tok = self.advance()
+        if tok is None or tok.kind != "num" or tok.value.denominator != 1:
+            raise ParseError("exponent must be a nonnegative integer",
+                             tok.pos if tok else self.text_len)
+        return tok.value.numerator
 
     def atom(self):
         tok = self.advance()
@@ -195,21 +214,35 @@ class _ElementReader:
             return value
         raise ParseError(f"unexpected {tok.kind!r}", tok.pos)
 
+    def monomial(self):
+        """One term `[coeff]`, `[coeff]*t^k`, `[coeff]t^k` or `t^k`."""
+        tok = self.peek()
+        if self.take("ident", "t"):
+            return self.ctx.one, self.exponent()
+        if tok.kind != "[":
+            raise ParseError("expected a bracketed coefficient or t", tok.pos)
+        close = next((k for k in range(self.i, self.hi)
+                      if self.toks[k].kind == "]"), None)
+        if close is None:
+            raise ParseError("missing closing bracket", self.text_len)
+        if close == self.i + 1:
+            raise ParseError("empty coefficient brackets", tok.pos)
+        self.advance()
+        coeff = self.element(close, "trailing input inside coefficient")
+        self.advance()
+        star = self.take("*")
+        if self.take("ident", "t"):
+            return coeff, self.exponent()
+        if star:
+            raise ParseError("expected t after '*'", self.here())
+        return coeff, 0
+
 
 def parse_element(text, ctx):
     """Read one ring element; raises ParseError on malformed input and
     WrongRingError when a single-letter symbol belongs to another ring."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty element literal", 0)
-    reader = _ElementReader(ctx, toks, 0, len(toks), len(text))
-    try:
-        value = reader.expr()
-    except ZeroDivisionError:
-        raise ParseError("division by zero", reader.here()) from None
-    if reader.peek() is not None:
-        raise ParseError("trailing input after element", reader.here())
-    return value
+    reader = _ElementReader(ctx, text, "element")
+    return reader.element(len(reader.toks), "trailing input after element")
 
 
 def parse_elements(text, ctx):
@@ -219,97 +252,28 @@ def parse_elements(text, ctx):
     return [parse_element(piece, ctx) for piece in text.split(",")]
 
 
-def _coeff_slice(ctx, toks, lo, text_len):
-    """Element between toks[lo] == '[' and its closing bracket."""
-    hi = lo + 1
-    while hi < len(toks) and toks[hi].kind != "]":
-        hi += 1
-    if hi == len(toks):
-        raise ParseError("missing closing bracket", text_len)
-    if hi == lo + 1:
-        raise ParseError("empty coefficient brackets", toks[lo].pos)
-    reader = _ElementReader(ctx, toks, lo + 1, hi, text_len)
-    try:
-        value = reader.expr()
-    except ZeroDivisionError:
-        raise ParseError("division by zero", reader.here()) from None
-    if reader.i != hi:
-        raise ParseError("trailing input inside coefficient", reader.here())
-    return value, hi + 1
-
-
-def _power_suffix(toks, i, text_len):
-    """Optionally consume '^' INT after a 't'; returns (power, next_index)."""
-    if i < len(toks) and toks[i].kind == "^":
-        if i + 1 >= len(toks) or toks[i + 1].kind != "num":
-            raise ParseError("expected integer power of t",
-                             toks[i].pos if i < len(toks) else text_len)
-        val = toks[i + 1].value
-        if val.denominator != 1 or val < 0:
-            raise ParseError("power of t must be a nonnegative integer",
-                             toks[i + 1].pos)
-        return int(val), i + 2
-    return 1, i
-
-
 def parse_polynomial(text, ctx):
-    """Read a skew polynomial literal.
-
-    Terms are `[coeff]`, `[coeff]*t^k`, bare `t^k` (unit coefficient), or
-    the single literal `0`; separators are `+` and `-`, the latter negating
-    the following term.  Coefficient brackets are mandatory.
-    """
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty polynomial literal", 0)
+    """Read a skew polynomial literal; the grammar is in the module
+    docstring, and coefficient brackets are mandatory."""
+    reader = _ElementReader(ctx, text, "polynomial")
+    toks = reader.toks
     if len(toks) == 1 and toks[0].kind == "num" and toks[0].value == 0:
         return SkewPolynomial.zero(ctx)
     acc = {}
-    i = 0
-    sign = 1
-    expect_term = True
-    n = len(toks)
-    while i < n:
-        tok = toks[i]
-        if expect_term:
-            if tok.kind in "+-":
-                if tok.kind == "-":
-                    sign = -sign
-                i += 1
-                continue
-            if tok.kind == "[":
-                coeff, i = _coeff_slice(ctx, toks, i, len(text))
-                power = 0
-                if i < n and toks[i].kind == "*":
-                    i += 1
-                    if i >= n or toks[i].kind != "ident" or toks[i].value != "t":
-                        raise ParseError("expected t after '*'",
-                                         toks[i].pos if i < n else len(text))
-                if i < n and toks[i].kind == "ident" and toks[i].value == "t":
-                    i += 1
-                    power, i = _power_suffix(toks, i, len(text))
-            elif tok.kind == "ident" and tok.value == "t":
-                coeff = ctx.one
-                i += 1
-                power, i = _power_suffix(toks, i, len(text))
-            else:
-                raise ParseError("expected a bracketed coefficient or t", tok.pos)
-            if sign < 0:
-                coeff = -coeff
-            acc[power] = acc[power] + coeff if power in acc else coeff
-            expect_term = False
-            sign = 1
-        else:
-            if tok.kind == "+":
-                expect_term = True
-            elif tok.kind == "-":
-                expect_term = True
-                sign = -1
-            else:
-                raise ParseError("expected '+' or '-' between terms", tok.pos)
-            i += 1
-    if expect_term:
-        raise ParseError("dangling sign at end of polynomial", len(text))
-    top = max(acc)
-    coeffs = tuple(acc.get(p, ctx.zero) for p in range(top + 1))
+    while True:
+        negate = False
+        while reader.peek() is not None and reader.peek().kind in "+-":
+            negate ^= reader.advance().kind == "-"
+        if reader.peek() is None:
+            raise ParseError("dangling sign at end of polynomial", len(text))
+        coeff, power = reader.monomial()
+        if negate:
+            coeff = -coeff
+        acc[power] = acc[power] + coeff if power in acc else coeff
+        tok = reader.peek()
+        if tok is None:
+            break
+        if tok.kind not in "+-":
+            raise ParseError("expected '+' or '-' between terms", tok.pos)
+    coeffs = tuple(acc.get(p, ctx.zero) for p in range(max(acc) + 1))
     return SkewPolynomial(ctx, coeffs)

@@ -341,9 +341,9 @@ class RatFunc:
             return other
         if not c:
             return self
-        # a/b + c/d = (a d1 + c b1) / (b1 d1 g) with g = gcd(b, d); only a
-        # factor of g can be common to the two parts
-        g, b1, d1 = ip_gcd(b, d)
+        # a/b + c/d = (a d1 + c b1) / (b1 d1 g) with g = gcd(b, d), which is
+        # b when b == d; only a factor of g can be common to the two parts
+        g, b1, d1 = (b, (1,), (1,)) if b == d else ip_gcd(b, d)
         num = ip_add(ip_mul(a, d1), ip_mul(c, b1))
         if not num:
             return _rf((), (1,), self.var)
@@ -840,10 +840,6 @@ class DivisionRingContext:
         raise NotImplementedError
 
     # -- S and D ---------------------------------------------------------------
-    @property
-    def s_is_automorphism(self):
-        return self.s_desc[0] in ("id", "frob")
-
     @property
     def s_is_identity(self):
         return self.s_desc[0] == "id"

@@ -93,17 +93,16 @@ def ratfunc_classical_roots(ctx, f):
         expr += _rf_to_sympy(c, x) * tv**i
     expr = sympy.together(expr)
     num, _ = expr.as_numer_denom()
-    roots = []
+    roots = set()
     for fac, _mult in sympy.factor_list(sympy.expand(num), tv, x)[1]:
         poly = sympy.Poly(fac, tv)
         if poly.degree() != 1:
             continue
         a1, a0 = poly.all_coeffs()
         cand = _sympy_to_rf(-a0 / a1, x, ctx.variable)
-        if cand is not None and not any(cand == r for r in roots):
-            roots.append(cand)
-    roots.sort(key=ctx.sort_key)
-    return roots
+        if cand is not None:
+            roots.add(cand)
+    return sorted(roots, key=ctx.sort_key)
 
 
 def derivation_quadratic_roots(ctx, f):
@@ -156,15 +155,14 @@ def derivation_quadratic_roots(ctx, f):
             raise NotSplitError("sympy's Riccati solver failed on the "
                                 f"equation of {f}") from None
         sols = []
-    roots = []
+    roots = set()
     def consider(expr):
         cand = _sympy_to_rf(expr, x, ctx.variable)
         if cand is None:
             return False
         if not ctx.is_zero(evaluate(f, cand)):
             return False
-        if not any(cand == r for r in roots):
-            roots.append(cand)
+        roots.add(cand)
         return True
     parametric = False
     for sol in sols:
@@ -178,8 +176,7 @@ def derivation_quadratic_roots(ctx, f):
         hits.append(consider(sympy.limit(expr, cpar, sympy.oo)))
         if sum(hits) >= 2:
             parametric = True
-    roots.sort(key=ctx.sort_key)
-    return roots, parametric
+    return sorted(roots, key=ctx.sort_key), parametric
 
 
 # ---------------------------------------------------------------------------

@@ -363,10 +363,9 @@ def dual_representation(ctx, basis):
         if ctx.is_zero(val):
             raise AssertionError("independence contradicted during dualization")
         out.append(conjugate(ctx, a, val))
-    for i, b in enumerate(out):
-        for b2 in out[:i]:
-            if b == b2:
-                raise AssertionError("dual companions collide")
+    if len(set(out)) != len(out):
+        raise AssertionError("dual companions collide")
+    for b in out:
         div = f.left_divmod(SkewPolynomial.linear(ctx, b))
         if div is None or not div[1].is_zero():
             raise AssertionError(f"t - ({b}) fails to left-divide {f}")
@@ -390,15 +389,9 @@ def monic_factors(f):
 
 
 def _chain_factors(f, chain):
-    ctx = f.ctx
-    out = []
     n = len(chain)
-    for lo in range(n):
-        for hi in range(lo + 1, n + 1):
-            p = product_of_linears(ctx, chain[lo:hi])
-            if not any(p == q for q in out):
-                out.append(p)
-    return out
+    return list(dict.fromkeys(product_of_linears(f.ctx, chain[lo:hi])
+                              for lo in range(n) for hi in range(lo + 1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -566,10 +559,7 @@ def rank_union_check(ctx, delta, gamma, domain=None):
     dom = _resolve_domain(ctx, domain, "the union rank identity")
     fd = minimal_polynomial(ctx, delta).poly
     fg = minimal_polynomial(ctx, gamma).poly
-    union = list(delta)
-    for a in gamma:
-        if not any(a == b for b in union):
-            union.append(a)
+    union = list(dict.fromkeys(delta + gamma))
     inter = right_roots(fg, right_roots(fd, dom))
     lhs = rank(ctx, delta) + rank(ctx, gamma)
     rhs = rank(ctx, union) + rank(ctx, inter)
@@ -586,11 +576,7 @@ def phi_rank_check(h, delta, domain=None):
             raise DisjointnessError(f"{d} lies in V({h})")
     dom = _resolve_domain(ctx, domain, "the phi rank identity")
     fd = minimal_polynomial(ctx, delta).poly
-    images = []
-    for d in delta:
-        y = phi_transform(h, d)
-        if not any(y == z for z in images):
-            images.append(y)
+    images = list(dict.fromkeys(phi_transform(h, d) for d in delta))
     inter = right_roots(h, right_roots(fd, dom))
     lhs = rank(ctx, images)
     rhs = rank(ctx, delta) - rank(ctx, inter)

@@ -301,9 +301,23 @@ def test_batch_runs_lines_and_keeps_worst_exit(capsys, tmp_path):
     assert err.strip() == "error: No closing quotation"
 
 
+def test_examples_and_batch_check_the_ring_flags(capsys, tmp_path):
+    # the flags are checked before any subcommand runs, even those that
+    # never read the context
+    code, out, err = run(["examples", "--ring", "Q", "--S", "xsq"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    script = tmp_path / "cmds.txt"
+    script.write_text("eval --ring HQ \"t^2 + [1]\" i\n")
+    code, out, err = run(["batch", str(script), "--ring", "F4", "--S", "xsq"],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_internal_error_exits_three(capsys, monkeypatch, tmp_path):
     # a broken invariant prints one line and exits 3; batch goes on
-    def broken(args):
+    def broken(args, ctx):
         raise AssertionError("norm polynomial has a non-central coefficient")
 
     monkeypatch.setattr(cli, "_cmd_minpoly", broken)

@@ -102,6 +102,44 @@ def test_polynomial_term_forms():
         q, (q.from_int(2), q.from_int(4)))
 
 
+ACCEPTED_POLYNOMIALS = [
+    ("F4", "--t", "t"),
+    ("F4", "[w]t", "[w]*t"),
+    ("Q", "[3]*t^0", "[3]"),
+    ("F4", "- - [w]*t^2", "[w]*t^2"),
+    ("Q", "t ^ 2", "t^2"),
+    ("Q", "[0]", "0"),
+    ("Q", "t^0", "[1]"),
+    ("Q", "[1]*t + [2] + [3]*t", "[4]*t + [2]"),
+    ("Q", "t^2 - t^2 + [1/2]", "[1/2]"),
+    ("HQ", "[i] + t - [(1+j)/2]*t^1", "[1/2-1/2j]*t + [i]"),
+]
+
+REJECTED_POLYNOMIALS = [
+    ("[]", ParseError), ("[1", ParseError), ("[1]]", ParseError),
+    ("[1]*", ParseError), ("[1]*[2]", ParseError), ("t^", ParseError),
+    ("t^1/2", ParseError), ("t -", ParseError), ("+", ParseError),
+    ("2t", ParseError), ("[x", ParseError), ("[i]", WrongRingError),
+]
+
+
+@pytest.mark.parametrize("ring,text,canonical", ACCEPTED_POLYNOMIALS)
+def test_polynomial_language_accepts(ring, text, canonical):
+    ctx = BACKENDS[ring]
+    f = parse_polynomial(text, ctx)
+    assert str(f) == canonical
+    assert parse_polynomial(canonical, ctx) == f
+
+
+@pytest.mark.parametrize("text,error", REJECTED_POLYNOMIALS)
+def test_polynomial_language_rejects_with_exact_class(text, error):
+    # an unclosed bracket is found before its contents are read, so `[x`
+    # over Q is malformed rather than a symbol of another ring
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, BACKENDS["Q"])
+    assert type(info.value) is error
+
+
 def test_polynomial_requires_bracketed_coefficients():
     q = BACKENDS["Q"]
     for text in ("1+t", "t^2+1", "[1", "[1]]", "t^", "[1]*", "t -", "2t"):
