@@ -1,17 +1,18 @@
-"""Exact linear algebra.
+"""Exact linear algebra over a division ring.
 
-Two layers: Gauss-Jordan elimination over a commutative base-field adapter
-(Fraction scalars or ints mod p), and order-aware row reduction for matrices
-with entries in a possibly noncommutative coefficient ring.
+Matrices are lists of rows of ring elements with their own operators:
+Fractions, finite field elements, rational functions or quaternions.
+One Gauss-Jordan elimination serves them all.  It uses left row
+operations only (row <- c*row, row <- row - c*pivot_row), which are valid
+over a noncommutative division ring and keep the right null space
+{v : M v = 0}.  Each function takes the field's unit ``one``; zeros are
+tested by truthiness.
 """
 
 from __future__ import annotations
 
 
-# ---------------------------------------------------------------------------
-# matrices over a base-field adapter: list of rows of scalars
-
-def rref(rows, base):
+def rref(rows, one):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     rows = [list(r) for r in rows]
     if not rows:
@@ -20,16 +21,16 @@ def rref(rows, base):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not base.is_zero(rows[i][c])), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = base.inv(rows[r][c])
-        rows[r] = [base.mul(inv, v) for v in rows[r]]
+        inv = one / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and not base.is_zero(rows[i][c]):
+            if i != r and rows[i][c]:
                 factor = rows[i][c]
-                rows[i] = [base.sub(v, base.mul(factor, w)) for v, w in zip(rows[i], rows[r])]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -37,52 +38,50 @@ def rref(rows, base):
     return rows, pivots
 
 
-def rank(rows, base):
-    return len(rref(rows, base)[1])
+def rank(rows, one):
+    return len(rref(rows, one)[1])
 
 
-def kernel(rows, base):
-    """Basis of the right null space {v : M v = 0} as tuples of scalars."""
+def kernel(rows, one):
+    """Basis of the right null space {v : M v = 0} as tuples."""
     ncols = len(rows[0])
-    red, pivots = rref(rows, base)
+    red, pivots = rref(rows, one)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    zero = one - one
     basis = []
-    for fc in free:
-        v = [base.zero] * ncols
-        v[fc] = base.one
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        v = [zero] * ncols
+        v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = base.sub(base.zero, red[r][fc])
+            v[pc] = -red[r][fc]
         basis.append(tuple(v))
     return basis
 
 
-def solve(rows, rhs, base):
+def solve(rows, rhs, one):
     """One solution of M x = rhs with free variables set to zero, or None."""
     if not rows:
         return None
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, base)
+    red, pivots = rref(aug, one)
     ncols = len(rows[0])
     if ncols in pivots:
         return None
-    x = [base.zero] * ncols
+    x = [one - one] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return tuple(x)
 
 
-def span_contains(span_rows, vec, base):
+def span_contains(span_rows, vec, one):
     """Whether vec lies in the row span of span_rows."""
     if not span_rows:
-        return all(base.is_zero(v) for v in vec)
-    before = rank(span_rows, base)
-    after = rank(list(span_rows) + [list(vec)], base)
-    return before == after
+        return not any(vec)
+    return rank(span_rows, one) == rank(list(span_rows) + [list(vec)], one)
 
 
 # ---------------------------------------------------------------------------
-# matrices over the coefficient ring K: list of rows of elements
+# matrix arithmetic over the coefficient ring K
 
 def km_mul(ctx, A, B):
     n, m = len(A), len(B[0])
@@ -116,20 +115,8 @@ def km_scale_cols_right(A, scalars):
 
 
 def km_invertible(ctx, A):
-    """Invertibility over a division ring via left row reduction."""
+    """Invertibility over a division ring: square of full rank."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
-    rows = [list(r) for r in A]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not ctx.is_zero(rows[i][c])), None)
-        if pivot is None:
-            return False
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = ctx.inv(rows[c][c])
-        rows[c] = [inv * v for v in rows[c]]
-        for i in range(c + 1, n):
-            if not ctx.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[c])]
-    return True
+    return rank(A, ctx.one) == n

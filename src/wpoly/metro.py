@@ -19,7 +19,7 @@ from .errors import (
     NotSplitError,
 )
 from .evaluate import conjugacy_class, conjugate, is_right_root
-from .rings import QBase, RatFunc, ip_mul
+from .rings import RatFunc, ip_mul
 from .skew import SkewPolynomial
 from .wedderburn import is_wedderburn, right_root_report
 
@@ -88,15 +88,14 @@ def _solve_enumerate(problem) -> MetroSolutionReport:
 
 def _solve_base_linear(problem) -> MetroSolutionReport:
     ctx = problem.ctx
-    base = ctx.base
     rows = ctx.base_matrix(problem.residual)
     rhs = list(ctx.to_vec(problem.c))
-    sol = linalg.solve(rows, rhs, base)
+    sol = linalg.solve(rows, rhs, ctx.base)
     if sol is None:
         return MetroSolutionReport(problem, NO_SOLUTION,
                                    strategy="base-linear")
     x = ctx.from_vec(sol)
-    ker = linalg.kernel(rows, base)
+    ker = linalg.kernel(rows, ctx.base)
     if ker:
         second = x + ctx.from_vec(ker[0])
         return MetroSolutionReport(problem, SOLUTION, x, MULTIPLE, second,
@@ -155,8 +154,7 @@ def _solve_differential(problem) -> MetroSolutionReport:
              for k in range(len(basis))] for r in range(width)]
     rhs = [Fraction(scaled[-1][r]) if r < len(scaled[-1]) else Fraction(0)
            for r in range(width)]
-    base = QBase()
-    sol = linalg.solve(rows, rhs, base)
+    sol = linalg.solve(rows, rhs, Fraction(1))
     if sol is None:
         return MetroSolutionReport(
             problem, UNDECIDED,
@@ -167,7 +165,7 @@ def _solve_differential(problem) -> MetroSolutionReport:
     for lam, (xk, _) in zip(sol, basis):
         if lam:
             x = x + RatFunc.const(lam, var) * xk
-    ker = linalg.kernel(rows, base)
+    ker = linalg.kernel(rows, Fraction(1))
     if ker:
         y = ctx.zero
         for lam, (xk, _) in zip(ker[0], basis):
@@ -196,7 +194,7 @@ def solve_metro(problem: MetroProblem) -> MetroSolutionReport:
     report = None
     if ctx.finite:
         report = _solve_enumerate(problem)
-    elif ctx.base is not None and ctx.base_dim:
+    elif ctx.base_dim:
         report = _solve_base_linear(problem)
     elif ctx.commutative and ctx.s_desc[0] == "id":
         if ctx.d_desc[0] == "zero":

@@ -703,62 +703,6 @@ class Quaternion:
 
 
 # ---------------------------------------------------------------------------
-# base-field adapters used by the exact linear algebra layer
-
-class QBase:
-    """Field operations on Fraction scalars."""
-
-    zero = _F0
-    one = _F1
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-
-class GFpBase:
-    """Field operations on int scalars mod p."""
-
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero scalar")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-
-# ---------------------------------------------------------------------------
 # contexts
 
 class DivisionRingContext:
@@ -776,7 +720,7 @@ class DivisionRingContext:
     commutative = True
     finite = False
     base_dim = None   # dimension over the central base field, None if infinite
-    base = None       # scalar adapter for that base field
+    base = None       # unit of that base field, whose elements are coordinates
 
     def __init__(self, s_desc, d_desc):
         self.s_desc = s_desc
@@ -887,7 +831,8 @@ class DivisionRingContext:
 
     def base_units(self):
         """The elements whose base-field coordinates are the unit vectors."""
-        zero, one = self.base.zero, self.base.one
+        one = self.base
+        zero = one - one
         return [self.from_vec([one if i == m else zero
                                for i in range(self.base_dim)])
                 for m in range(self.base_dim)]
@@ -916,7 +861,7 @@ class RationalContext(DivisionRingContext):
     kind = "Q"
     name = "Q"
     base_dim = 1
-    base = QBase()
+    base = _F1
     zero = _F0
     one = _F1
 
@@ -966,11 +911,10 @@ class FiniteFieldContext(DivisionRingContext):
         self.field = gf_field(p, k, modulus)
         self.p, self.k = p, k
         self.base_dim = k
-        self.base = GFpBase(p)
         self.name = name or f"GF({p}^{k})"
         elems = self.field.elems
         self.zero = elems[0]
-        self.one = elems[1 % self.field.q]
+        self.one = self.base = elems[1 % self.field.q]
         if s_desc == ("id",):
             s_desc = ("frob", 0)
         if s_desc[0] != "frob":
@@ -1037,12 +981,14 @@ class FiniteFieldContext(DivisionRingContext):
         return self._s_inverse[a.code]
 
     def to_vec(self, a):
-        return tuple(self.field.decode(a.code))
+        # digit d is the element of code d of the prime subfield
+        elems = self.field.elems
+        return tuple(elems[d] for d in self.field.decode(a.code))
 
     def from_vec(self, vec):
         code = 0
-        for d in reversed([int(v) % self.p for v in vec]):
-            code = code * self.p + d
+        for v in reversed(vec):
+            code = code * self.p + v.code
         return self.field.elems[code]
 
     def _sample_elements(self):
@@ -1116,7 +1062,7 @@ class QuaternionContext(DivisionRingContext):
     name = "HQ"
     commutative = False
     base_dim = 4
-    base = QBase()
+    base = _F1
     zero = Quaternion(0)
     one = Quaternion(1)
 

@@ -50,7 +50,7 @@ NOT_W = "NOT_W"
 def centralizer(ctx, a):
     """Base-field basis of C_a = {0} u {c != 0 : a^c = a}, which is the
     exponential space E(t - a, a)."""
-    if ctx.base is None:
+    if ctx.base_dim is None:
         raise CapabilityMissingError(
             f"{ctx.name} is not finite dimensional over a central subfield")
     matrix = lambda_matrix(ctx, SkewPolynomial.linear(ctx, a), a)
@@ -79,7 +79,7 @@ def exponential_space(f, a):
     E(f, a) is a right C_a-vector space.
     """
     ctx = f.ctx
-    if ctx.base is None:
+    if ctx.base_dim is None:
         raise CapabilityMissingError(
             f"{ctx.name} is not finite dimensional over a central subfield")
     ker = linalg.kernel(lambda_matrix(ctx, f, a), ctx.base)
@@ -462,9 +462,11 @@ def _bezout_one_membership(g, h):
 def left_root_report(f) -> RootReport:
     """Exact description of V'(f) = {b : f in (t-b)R} where available.
 
-    Finite contexts enumerate.  Quaternions with D = 0 use the
-    anti-automorphism x -> conj(x): b is a left root of f exactly when
-    conj(b) is a right root of the coefficient-conjugated polynomial.
+    Finite contexts enumerate.  Over a commutative K with S = id and D = 0
+    the ring K[t] is commutative, so left roots are right roots.
+    Quaternions with D = 0 use the anti-automorphism x -> conj(x): b is a
+    left root of f exactly when conj(b) is a right root of the
+    coefficient-conjugated polynomial.
     Under an inner D = inner(d) the conjugate of f is sum t^i conj(f_i)
     in the ring twisted by inner(conj(d)), not the coefficient-conjugated
     polynomial, so that case is refused.
@@ -474,6 +476,8 @@ def left_root_report(f) -> RootReport:
         raise ValueError("zero polynomial has every element as a left root")
     if ctx.finite:
         return RootReport(f, True, tuple(left_roots(f)), (), "enumeration")
+    if ctx.commutative and ctx.s_is_identity and ctx.d_desc[0] == "zero":
+        return right_root_report(f)
     if ctx.kind == "HQ":
         if ctx.d_desc[0] != "zero":
             raise NotSplitError(

@@ -206,10 +206,12 @@ def test_golden_cli_outputs(capsys):
     # lattice build/check --json under S = frob, frob^2 with D = inner(w),
     # and of the root, recognition, split, minpoly, closure, dual,
     # expspace, rgcd and metro commands over F4 and F8 under S = id, frob,
-    # frob^2 with D = 0, inner(w), pinned verbatim: element formatting,
-    # sort_key and node order must not drift
+    # frob^2 with D = 0, inner(w), of phi, rank, pbasis, vandermonde-check,
+    # rank-theorems, metro over Q and Q(x), and left-roots over Q and Q(x),
+    # pinned verbatim: element formatting, sort_key and node order must not
+    # drift
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) >= 168
+    assert len(cases) >= 198
     for case in cases:
         code, out, _ = run(case["argv"], capsys)
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -7,8 +7,9 @@ import pytest
 from helpers import backend_contexts, random_poly, random_set, rng_for
 from wpoly import wedderburn
 from wpoly.algsets import minimal_polynomial, rank
-from wpoly.errors import (DisjointnessError, DomainRequiredError,
-                          NotPIndependentError, NotSplitError)
+from wpoly.errors import (CapabilityMissingError, DisjointnessError,
+                          DomainRequiredError, NotPIndependentError,
+                          NotSplitError)
 from wpoly.evaluate import conjugacy_class_reps, conjugate, evaluate
 from wpoly.parsing import parse_polynomial
 from wpoly.rings import make_context
@@ -202,6 +203,22 @@ def test_left_root_report_quaternion_conjugate_transpose():
     assert report.classes[0].dimension == 2
 
 
+def test_left_roots_of_commutative_untwisted_rings_are_right_roots():
+    # K[t] is commutative when K is and S = id, D = 0
+    q = BACKENDS["Q"]
+    f = parse_polynomial("t^2 + [-1]", q)
+    left, right = left_root_report(f), right_root_report(f)
+    assert left == right
+    assert left.finite and list(left.roots) == [-q.one, q.one]
+    qx = make_context("Qx", s_desc=("id",))
+    f = parse_polynomial("t^2 + [-x^2]", qx)
+    assert left_root_report(f) == right_root_report(f)
+    # under x -> x^2 left and right roots differ, and there is no search
+    qx = BACKENDS["Qx"]
+    with pytest.raises(CapabilityMissingError, match="no left-root search"):
+        left_root_report(SkewPolynomial.linear(qx, qx.x))
+
+
 def test_left_roots_of_quaternions_under_an_inner_derivation_are_refused(
         monkeypatch):
     # under inner(i) the left root 1 + j of (t - (1+j))(t - (i+2k)) does not
@@ -302,6 +319,36 @@ def test_factor_theorem_consistency():
             f = random_poly(ctx, rng, 2, monic=True, min_deg=2)
             report = factor_theorem_check(f)
             assert report.consistent
+
+
+def _factor_strs(report):
+    return [str(p) for p in report.factors]
+
+
+def test_factor_theorem_over_infinite_rings_uses_the_splitting_chain():
+    # outside finite contexts the factors are the consecutive subproducts
+    # of one splitting chain: three linears, two quadratics and f itself
+    q = BACKENDS["Q"]
+    f = product_of_linears(q, [q.from_int(1), q.from_int(2), q.from_int(3)])
+    report = factor_theorem_check(f)
+    assert report.is_w and report.splits and report.consistent
+    assert report.all_factors_w and report.quadratic_factors_w
+    assert sorted(_factor_strs(report)) == sorted([
+        "t + [-1]", "t + [-2]", "t + [-3]",
+        "t^2 + [-3]*t + [2]", "t^2 + [-5]*t + [6]", str(f)])
+    # (t - 1)^2 has the one root 1, so it is not W; its chain repeats t - 1
+    f = product_of_linears(q, [q.one, q.one])
+    report = factor_theorem_check(f)
+    assert not report.is_w and report.splits and report.consistent
+    assert _factor_strs(report) == ["t + [-1]", str(f)]
+    assert not report.all_factors_w and not report.quadratic_factors_w
+    # (t - j)(t - i) over HQ: NOT_W, with the non-W quadratic among the factors
+    hq = BACKENDS["HQ"]
+    f = product_of_linears(hq, [hq.i, hq.j])
+    report = factor_theorem_check(f)
+    assert not report.is_w and report.splits and report.consistent
+    assert sorted(_factor_strs(report)) == sorted(["t + [-i]", "t + [-j]", str(f)])
+    assert not report.quadratic_factors_w
 
 
 def test_product_theorem_consistency():
