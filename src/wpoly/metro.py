@@ -3,7 +3,10 @@
 Solvability of the equation is equivalent to (t - b^c)(t - a) being the
 minimal polynomial of two distinct elements, and a solution x converts into
 the second root a - c*x^{-1}.  Both directions are computed independently
-here so the equivalence can be checked rather than assumed.
+here so the equivalence can be checked rather than assumed.  The equation is
+decided exactly over the finite rings, over rings of finite dimension over
+a central field, over Q(x) with S = id, D = 0, and over Q(u) with d/du,
+where all its rational solutions are found.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import (
     NotSplitError,
 )
 from .evaluate import conjugacy_class, conjugate, is_right_root
-from .rings import RatFunc, ip_mul
+from .rings import RatFunc, ip_add, ip_deriv, ip_gcd, ip_mul, ip_sub
 from .skew import SkewPolynomial
 from .wedderburn import is_wedderburn, right_root_report
 
@@ -86,99 +89,88 @@ def _solve_enumerate(problem) -> MetroSolutionReport:
                                strategy="enumeration")
 
 
+def _linear_report(problem, aug, one, element, strategy):
+    """Report for an equation whose solutions are element(v) for the
+    solutions v of M v = r, element being linear, from aug = (M | -r).
+
+    The kernel of aug holds both answers: its basis vector with last
+    entry one is a solution (free variables zero), and any other is a
+    nonzero solution of M v = 0.
+    """
+    ker = linalg.kernel(aug, one)
+    if not ker or not ker[-1][-1]:
+        return MetroSolutionReport(problem, NO_SOLUTION, strategy=strategy)
+    x = element(ker[-1][:-1])
+    if len(ker) > 1:
+        return MetroSolutionReport(problem, SOLUTION, x, MULTIPLE,
+                                   x + element(ker[0][:-1]), strategy=strategy)
+    return MetroSolutionReport(problem, SOLUTION, x, UNIQUE, strategy=strategy)
+
+
 def _solve_base_linear(problem) -> MetroSolutionReport:
     ctx = problem.ctx
-    rows = ctx.base_matrix(problem.residual)
-    rhs = list(ctx.to_vec(problem.c))
-    sol = linalg.solve(rows, rhs, ctx.base)
-    if sol is None:
-        return MetroSolutionReport(problem, NO_SOLUTION,
-                                   strategy="base-linear")
-    x = ctx.from_vec(sol)
-    ker = linalg.kernel(rows, ctx.base)
-    if ker:
-        second = x + ctx.from_vec(ker[0])
-        return MetroSolutionReport(problem, SOLUTION, x, MULTIPLE, second,
-                                   strategy="base-linear")
-    return MetroSolutionReport(problem, SOLUTION, x, UNIQUE,
-                               strategy="base-linear")
-
-
-def _poly_part(r: RatFunc):
-    """Coefficient tuple when r has a constant denominator, else None."""
-    if len(r.iden) == 1:
-        return tuple(Fraction(c, r.iden[0]) for c in r.inum)
-    return None
+    aug = [list(row) + [-v] for row, v in
+           zip(ctx.base_matrix(problem.residual), ctx.to_vec(problem.c))]
+    return _linear_report(problem, aug, ctx.base, ctx.from_vec, "base-linear")
 
 
 def _solve_differential(problem) -> MetroSolutionReport:
-    """Commutative K = Q(var), S = id, D = d/dvar: (a-b)x - x' = c."""
+    """Every rational solution of x' = f*x - c over K = Q(u), S = id,
+    D = d/du, where f = a - b = fn/fd and c = cn/cd.
+
+    Write x = z/h (Abramov 1989; Bronstein, Symbolic Integration I,
+    ch. 6).  A pole of x of order m is a pole of c of order m + 1, or a
+    simple pole of f with residue -m, so h = gcd(cd, cd') * prod p_m^m,
+    where p_m = gcd(fd, fn + m*fd') collects the simple poles with residue
+    -m, and those m are the negative integer roots of
+    Res_u(fd, fn - z*fd').  At infinity deg x = deg c - deg f when
+    deg f >= 0, and else deg x <= max(deg c + 1, 0, F), with
+    F = lc(fn)/lc(fd) counted when deg f = -1 and F is an integer.
+    Multiplied by lcm(fd, cd)*h^2 the equation is one linear system over
+    Q in the coefficients of z.
+    """
     ctx = problem.ctx
-    var = ctx.variable
-    diff = problem.a - problem.b
-    c = problem.c
-    if ctx.is_zero(diff):
-        coeffs = _poly_part(c)
-        if coeffs is None:
-            return MetroSolutionReport(
-                problem, UNDECIDED,
-                strategy="antiderivative",
-                reason="antiderivative search covers polynomial c only")
-        anti = (Fraction(0),) + tuple(-coeffs[i] / (i + 1)
-                                      for i in range(len(coeffs)))
-        x = RatFunc(anti, (1,), var)
-        second = x + ctx.one
-        return MetroSolutionReport(problem, SOLUTION, x, MULTIPLE, second,
-                                   strategy="antiderivative")
-    # fixed-denominator ansatz x = n(var)/q0, n of bounded degree, q0 the
-    # product of the monic denominators; the system L(x) = c is linear in
-    # the coefficients of n
-    bound = 2 * max(len(diff.inum), len(diff.iden), len(c.inum), len(c.iden)) + 4
-    iq0 = ip_mul(diff.iden, c.iden)
-    basis = []
-    for k in range(bound + 1):
-        xk = RatFunc((0,) * k + (iq0[-1],), iq0, var)
-        basis.append((xk, diff * xk - xk.derivative()))
-    # clear all denominators: every equation is multiplied by the product
-    # of the denominators times one constant, which keeps its solutions
-    terms = [img for _, img in basis] + [c]
-    scaled = []
-    for i, t in enumerate(terms):
-        n = t.inum
-        for m, other in enumerate(terms):
-            if m != i:
-                n = ip_mul(n, other.iden)
-        scaled.append(n)
-    width = max(len(n) for n in scaled)
-    rows = [[Fraction(scaled[k][r]) if r < len(scaled[k]) else Fraction(0)
-             for k in range(len(basis))] for r in range(width)]
-    rhs = [Fraction(scaled[-1][r]) if r < len(scaled[-1]) else Fraction(0)
-           for r in range(width)]
-    sol = linalg.solve(rows, rhs, Fraction(1))
-    if sol is None:
-        return MetroSolutionReport(
-            problem, UNDECIDED,
-            strategy="rational-ansatz",
-            reason=(f"no solution n/q0 with deg n <= {bound} and "
-                    f"q0 = den(a-b)*den(c); larger solutions are not excluded"))
-    x = ctx.zero
-    for lam, (xk, _) in zip(sol, basis):
-        if lam:
-            x = x + RatFunc.const(lam, var) * xk
-    ker = linalg.kernel(rows, Fraction(1))
-    if ker:
-        y = ctx.zero
-        for lam, (xk, _) in zip(ker[0], basis):
-            if lam:
-                y = y + RatFunc.const(lam, var) * xk
-        second = x + y
-        if problem.is_solution(second) and second != x:
-            return MetroSolutionReport(problem, SOLUTION, x, MULTIPLE,
-                                       second, strategy="rational-ansatz")
-    return MetroSolutionReport(
-        problem, SOLUTION, x, UNKNOWN,
-        strategy="rational-ansatz",
-        reason="uniqueness outside the ansatz space is not decided")
+    f, c = problem.a - problem.b, problem.c
+    fn, fd, cn, cd = f.inum, f.iden, c.inum, c.iden
+    h = ip_gcd(cd, ip_deriv(cd))[0] if len(cd) > 1 else (1,)
+    _, fd1, cd1 = ip_gcd(fd, cd)
+    bound = max(len(cn) - len(cd) + 1, 0)
+    if fn and len(fn) >= len(fd):
+        bound = len(cn) - len(cd) - (len(fn) - len(fd))
+    elif fn and len(fn) == len(fd) - 1 and fn[-1] % fd[-1] == 0:
+        bound = max(bound, fn[-1] // fd[-1])
+    if len(fd) > 1:
+        import sympy
+
+        from .rootfind import rational_poly_roots
+
+        u, z = sympy.symbols("u z")
+        fdd = ip_deriv(fd)
+        def poly(p, k=0):   # p(u) * z^k
+            return sympy.Poly.from_dict({(i, k): v for i, v in enumerate(p)},
+                                        u, z)
+        res = poly(fd).resultant(poly(fn) - poly(fdd, 1))
+        for r in rational_poly_roots([Fraction(int(v)) for v
+                                      in reversed(res.all_coeffs())]):
+            if r < 0 and r.denominator == 1:
+                s = ip_add(fn, tuple(-r.numerator * v for v in fdd))
+                p = ip_gcd(fd, s)[0] if s else fd
+                for _ in range(-r.numerator):
+                    h = ip_mul(h, p)
+    # times lcm(fd, cd)*h^2 = fd*cd1*h^2: z = u^k gives the column
+    # fd*cd1*h*k*u^(k-1) - (fd*cd1*h' + fn*cd1*h)*u^k, c gives cn*fd1*h^2
+    lead = ip_mul(ip_mul(fd, cd1), h)
+    tail = ip_add(ip_mul(ip_mul(fd, cd1), ip_deriv(h)),
+                  ip_mul(ip_mul(fn, cd1), h))
+    cols = [ip_sub((0,) * (k - 1) + tuple(k * v for v in lead) if k else (),
+                   (0,) * k + tail)
+            for k in range(len(h) + bound)]
+    cols.append(ip_mul(ip_mul(cn, fd1), ip_mul(h, h)))
+    aug = [[col[r] if r < len(col) else 0 for col in cols]
+           for r in range(max(map(len, cols)))]
+    return _linear_report(problem, aug, Fraction(1),
+                          lambda v: RatFunc(v, h, ctx.variable),
+                          "universal-denominator")
 
 
 def solve_metro(problem: MetroProblem) -> MetroSolutionReport:
@@ -186,8 +178,9 @@ def solve_metro(problem: MetroProblem) -> MetroSolutionReport:
 
     Finite rings enumerate; rings of finite dimension over a central base
     field solve one exact linear system, where uniqueness is equivalent to
-    a trivial kernel; the commutative differential model falls back to
-    antiderivatives and a bounded rational ansatz.  Anything else is
+    a trivial kernel; over Q(u) with d/du one exact linear system over Q
+    holds every rational solution (``_solve_differential``), so the answer
+    is NO_SOLUTION, UNIQUE or MULTIPLE there too.  Anything else is
     reported UNDECIDED rather than guessed.
     """
     ctx = problem.ctx
@@ -255,7 +248,8 @@ def metro_wedderburn_equivalence(problem: MetroProblem) -> MetroEquivalenceRepor
 
     The two sides are computed independently: the equation by solve_metro,
     the polynomial side by a root search.  A decided disagreement is a
-    library defect and raises.
+    library defect and raises, and so is a finite root report without a,
+    which is a right root of the product by construction.
     """
     ctx = problem.ctx
     f = metro_polynomial(problem)
@@ -263,6 +257,8 @@ def metro_wedderburn_equivalence(problem: MetroProblem) -> MetroEquivalenceRepor
     solvable = {SOLUTION: True, NO_SOLUTION: False}.get(rep.status)
     try:
         roots = right_root_report(f)
+        if roots.finite and problem.a not in roots.roots:
+            raise AssertionError(f"the root report of {f} misses a = {problem.a}")
         w = True if not roots.finite else len(roots.roots) >= 2
     except (NotSplitError, CapabilityMissingError):
         w = None

@@ -116,8 +116,10 @@ def derivation_quadratic_roots(ctx, f):
     there is none when c is not a rational square.  Otherwise sympy's
     solver runs; its parametric solution families are sampled at small
     parameter values and at the parameter's limit at infinity.  Every
-    candidate is verified by exact evaluation.  Both routes are complete
-    for rational solutions, so an empty result means there are none.
+    candidate is verified by exact evaluation.  The constant-invariant
+    route is complete; sympy's is not: it returns no solution of
+    f' = 1 + x*f - f^2, which f = x solves, so a root can be missing from
+    its result (ROADMAP item 7(c)).
 
     Returns (roots, parametric): parametric is True when a verified family
     makes the root set infinite, in which case roots holds samples.  The

@@ -1,19 +1,22 @@
 """The metro equation ax - S(x)b - D(x) = c across solver strategies."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from helpers import rng_for
+from wpoly import metro
 from wpoly.errors import ClassMembershipError, NotSplitError
 from wpoly.evaluate import conjugate, evaluate
-from wpoly.metro import (MULTIPLE, NO_SOLUTION, SOLUTION, UNDECIDED, UNIQUE,
-                         UNKNOWN, MetroProblem, MetroSolutionReport,
+from wpoly.metro import (MULTIPLE, NO_SOLUTION, SOLUTION, UNIQUE,
+                         MetroProblem, MetroSolutionReport,
                          _class_minpoly_and_membership,
                          class_algebraic_uniqueness, metro_polynomial,
                          metro_wedderburn_equivalence, solve_metro)
-from wpoly.rings import Quaternion, make_context
+from wpoly.parsing import parse_elements
+from wpoly.rings import Quaternion, RatFunc, _ip_eval, make_context
 from wpoly.skew import SkewPolynomial
 
 HQ = make_context("HQ")
@@ -65,29 +68,89 @@ def test_finite_field_enumeration_matches_brute_force():
                 assert rep.uniqueness == UNIQUE and rep.second is None
 
 
-def test_differential_antiderivative():
+def test_differential_constant_shift():
+    # a = b: x' = -1, so x = -u up to an added constant
     u = QU.x
     rep = solve_metro(MetroProblem(QU, u, u, QU.one))
-    assert rep.status == SOLUTION and rep.strategy == "antiderivative"
+    assert rep.status == SOLUTION and rep.strategy == "universal-denominator"
     assert rep.x == -u
     assert rep.uniqueness == MULTIPLE and rep.second == -u + QU.one
 
 
-def test_differential_rational_ansatz():
+def test_differential_unique_solution():
+    # x' = u*x - u: x = 1, and x' = u*x has no rational solution but 0
     u = QU.x
     rep = solve_metro(MetroProblem(QU, u, QU.zero, u))
-    assert rep.status == SOLUTION and rep.strategy == "rational-ansatz"
-    assert rep.x == QU.one
-    # the ansatz finds a solution but cannot rule out others
-    assert rep.uniqueness == UNKNOWN
-    assert "ansatz" in rep.reason
+    assert rep.status == SOLUTION and rep.x == QU.one
+    assert rep.uniqueness == UNIQUE and rep.second is None
+    assert rep.reason is None
 
 
-def test_differential_undecided_reports_its_bound():
-    rep = solve_metro(MetroProblem(QU, QU.x, QU.zero, QU.one))
-    assert rep.status == UNDECIDED and rep.x is None
-    assert "deg n <= 8" in rep.reason
-    assert rep.revalidate()
+def test_differential_no_solution():
+    # u*x - x' = 1: the leading terms and the poles of x rule out any x;
+    # -x' = 1/u would need x = -log(u)
+    for abc in ("u, 0, 1", "0, 0, 1/u", "u^2, 1/u, (u+1)/(2u)"):
+        rep = solve_metro(MetroProblem(QU, *parse_elements(abc, QU)))
+        assert rep.status == NO_SOLUTION and rep.x is None, abc
+        assert rep.strategy == "universal-denominator" and rep.revalidate()
+
+
+def _qu_poly(rng, deg):
+    lead = rng.choice((-2, -1, 1, 2))
+    return RatFunc([rng.randint(-3, 3) for _ in range(deg)] + [lead], (1,), "u")
+
+
+def _qu_ratfunc(rng):
+    return RatFunc([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))],
+                   [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                   + [1], "u")
+
+
+def _known_answer_case(kind, rng):
+    """(f, c, x) with x' = f*x - c; x is None when no rational x exists."""
+    while True:
+        if kind == "simple-pole-c":
+            # c has a simple pole at r where f has none; a pole of x of
+            # order m at r would give x' - f*x a pole of order m + 1 >= 2
+            r, f, g = rng.randint(-3, 3), _qu_ratfunc(rng), _qu_ratfunc(rng)
+            if _ip_eval(f.iden, r) and _ip_eval(g.iden, r):
+                pole = RatFunc((rng.choice((-2, -1, 1, 2)),), (-r, 1), "u")
+                return f, g + pole, None
+            continue
+        if kind == "any-f":
+            f = _qu_ratfunc(rng)
+        elif kind == "polynomial-f":
+            f = _qu_poly(rng, rng.randint(0, 2))
+        else:
+            y = _qu_ratfunc(rng)
+            if not y:
+                continue
+            f = y.derivative() / y
+        x = _qu_ratfunc(rng)
+        c = f * x - x.derivative()
+        if c:
+            return f, c, x
+
+
+def test_differential_known_answers():
+    # 100 seeded equations of each kind, built around a known answer
+    for kind in ("any-f", "polynomial-f", "log-derivative-f", "simple-pole-c"):
+        rng = rng_for("metro-known", kind)
+        for _ in range(100):
+            f, c, x = _known_answer_case(kind, rng)
+            rep = solve_metro(MetroProblem(QU, f, QU.zero, c))
+            if x is None:
+                assert rep.status == NO_SOLUTION, (f, c)
+                continue
+            assert rep.status == SOLUTION, (f, c)
+            if kind == "polynomial-f":
+                # x' = f*x has no rational solution but 0 for f != 0
+                assert rep.uniqueness == UNIQUE and rep.x == x, (f, c)
+            elif kind == "log-derivative-f":
+                # the solutions of x' = f*x are the constant multiples of y
+                assert rep.uniqueness == MULTIPLE, (f, c)
+            elif rep.uniqueness == UNIQUE:
+                assert rep.x == x, (f, c)
 
 
 def test_zero_right_side_is_rejected():
@@ -134,6 +197,41 @@ def test_equivalence_differential_bridge():
     assert rep.decided and rep.consistent
     assert rep.bridge_root == u + QU.inv(u)
     assert rep.bridge_is_second_root
+
+
+def test_equivalence_differential_no_solution():
+    rep = metro_wedderburn_equivalence(
+        MetroProblem(QU, *parse_elements("0, 0, 1/u", QU)))
+    assert rep.solvable is False and rep.poly_is_w is False
+    assert rep.consistent is True
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the Riccati engine misses the root u of "
+                          "t^2 - u*t - 1 (ROADMAP item 7(c))")
+def test_equivalence_differential_missed_root():
+    # u*x - x' = 1 has no rational solution, so t^2 - u*t - 1 = t(t - u)
+    # has the single root u; the root report is empty, and the check
+    # that a = u is listed raises
+    rep = metro_wedderburn_equivalence(
+        MetroProblem(QU, *parse_elements("u, 0, 1", QU)))
+    assert rep.consistent is True
+
+
+@pytest.mark.parametrize("ctx, abc", [(HQ, "i, i, 1"), (HQ, "i, 2, 1"),
+                                      (F4, "w, 0, 1")])
+def test_equivalence_requires_a_among_finite_roots(ctx, abc, monkeypatch):
+    # a root engine that drops a, a right root of (t - b^c)(t - a) by
+    # construction, is caught even where the two sides would agree
+    problem = MetroProblem(ctx, *parse_elements(abc, ctx))
+    report = metro.right_root_report(metro_polynomial(problem))
+    assert report.finite and problem.a in report.roots
+    metro_wedderburn_equivalence(problem)
+    dropped = replace(report, roots=tuple(r for r in report.roots
+                                          if r != problem.a))
+    monkeypatch.setattr(metro, "right_root_report", lambda f: dropped)
+    with pytest.raises(AssertionError, match="misses a"):
+        metro_wedderburn_equivalence(problem)
 
 
 def test_equivalence_negative_case():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import backend_contexts, rng_for
+from wpoly import rootfind
 from wpoly.evaluate import evaluate, right_roots
 from wpoly.rootfind import (central_factor_candidates,
                             derivation_quadratic_roots, norm_polynomial,
@@ -165,6 +166,38 @@ def test_riccati_solver_proof_of_no_rational_root(poly):
     assert derivation_quadratic_roots(qu, f.monic()) == ([], False)
     report = right_root_report(f)
     assert report.finite and report.roots == ()
+
+
+# sympy's rational Riccati solver misses rational solutions, so its empty
+# answer is no proof and it cannot serve as the oracle of ROADMAP item 7;
+# these reproducers pass once item 7(c) replaces it
+MISSED = pytest.mark.xfail(strict=True, reason="sympy's Riccati solver "
+                           "misses a rational root (ROADMAP item 7(c))")
+
+
+@MISSED
+def test_riccati_solver_finds_u():
+    # f' = 1 + u*f - f^2 is solved by f = u
+    x = sympy.Symbol("x_")
+    fx = sympy.Function("f_")(x)
+    sols = rootfind.solve_riccati(fx, x, sympy.Integer(1), x,
+                                  sympy.Integer(-1))
+    assert any(sympy.simplify(sol.rhs - x) == 0 for sol in sols)
+
+
+@MISSED
+def test_riccati_roots_include_zero():
+    # 0 is a right root of t^2 + (2u - 1)t, which has no constant term
+    f = parse_polynomial("t^2 + [2u-1]*t", BACKENDS["Qu"])
+    assert BACKENDS["Qu"].zero in right_root_report(f).roots
+
+
+@MISSED
+def test_riccati_recognition_sees_minus_u():
+    qu = BACKENDS["Qu"]
+    f = parse_polynomial("t^2 + [-1/3u^2+u+1/3]*t + [-1/3u^3+1/3u+1]", qu)
+    assert qu.is_zero(evaluate(f, -qu.x))
+    assert -qu.x in is_wedderburn(f).roots
 
 
 def test_norm_polynomial_is_central():
