@@ -10,7 +10,7 @@ Leibniz rule D(a*b) = S(a)*D(b) + D(a)*b.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd as _igcd, isqrt, lcm
 
 from .errors import CapabilityMissingError, ContextMismatchError
@@ -746,6 +746,14 @@ class DivisionRingContext:
 
     def __repr__(self):
         return f"<context {self.describe()}>"
+
+    @cached_property
+    def twin(self):
+        """The same ring and S with D = 0, built on first use."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, d_desc=("zero",))
+        twin.key = (self.kind, self._ring_params(), self.s_desc, twin.d_desc)
+        return twin
 
     def describe(self):
         s = {"id": "S=id", "frob": f"S=frob^{self.s_desc[1]}" if len(self.s_desc) > 1 else "S=frob",

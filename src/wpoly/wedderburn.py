@@ -11,7 +11,7 @@ identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import linalg
 from .algsets import is_p_independent, minimal_polynomial, rank
@@ -161,7 +161,6 @@ class RootReport:
 
 
 def _quaternion_root_classes(f):
-    ctx = f.ctx
     out = []
     for tag, rep in quaternion_candidate_classes(f):
         space = exponential_space(f, rep)
@@ -170,18 +169,39 @@ def _quaternion_root_classes(f):
     return tuple(out)
 
 
+def _inner_transport(report, f) -> RootReport:
+    """report(f) under D = inner(d), from the D = 0 twin: t' = t - d has
+    t'a = S(a)t' (Ore 1933), so r is a right (left) root of f iff r - d is
+    one of g(t') = f(t' + d), and (r + d)^x = r^x + d keeps class bases."""
+    ctx, twin, d = f.ctx, f.ctx.twin, f.ctx.d_desc[1]
+    g, shift = SkewPolynomial.zero(twin), SkewPolynomial(twin, (d, twin.one))
+    for c in reversed(f.coeffs):
+        g = g * shift + SkewPolynomial.constant(twin, c)
+    try:
+        rep = report(g)
+    except (NotSplitError, CapabilityMissingError) as exc:
+        raise type(exc)(str(exc).replace(twin.describe(),
+                                         ctx.describe())) from None
+    roots = tuple(sorted((r + d for r in rep.roots), key=ctx.sort_key))
+    classes = tuple(replace(c, space=replace(c.space, ctx=ctx, rep=c.rep + d))
+                    for c in rep.classes)
+    return RootReport(f, rep.finite, roots, classes, rep.method)
+
+
 def right_root_report(f) -> RootReport:
     """Complete right-root description where an exact engine exists.
 
     Raises NotSplitError when the context offers no complete search for
     this degree (twisted rational functions beyond the linear case,
-    derivations beyond the quadratic case, quaternions with D != 0).
+    derivations beyond the quadratic case).
     """
     ctx = f.ctx
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a root")
     if ctx.finite:
         return RootReport(f, True, tuple(right_roots(f)), (), "enumeration")
+    if ctx.d_desc[0] == "inner":
+        return _inner_transport(right_root_report, f)
     deg = f.degree
     if deg == 0:
         return RootReport(f, True, (), (), "constant")
@@ -189,9 +209,6 @@ def right_root_report(f) -> RootReport:
         roots = tuple(rational_poly_roots(f.coeffs))
         return RootReport(f, True, roots, (), "rational-root-theorem")
     if ctx.kind == "HQ":
-        if ctx.d_desc[0] != "zero":
-            raise NotSplitError(
-                f"the quaternion root engine assumes D = 0, not {ctx.describe()}")
         classes = _quaternion_root_classes(f)
         finite = all(c.finite for c in classes)
         roots = ()
@@ -214,11 +231,6 @@ def right_root_report(f) -> RootReport:
         f"no exact root search for degree {deg} over {ctx.describe()}")
 
 
-def _first_root(f):
-    basis = right_root_report(f).basis
-    return basis[0] if basis else None
-
-
 # ---------------------------------------------------------------------------
 # splitting and recognition
 
@@ -236,12 +248,13 @@ def split(f):
     g = f
     while g.degree > 0:
         try:
-            c = _first_root(g)
+            basis = right_root_report(g).basis
         except NotSplitError as exc:
             raise NotSplitError(exc.reason, partial_roots=roots) from None
-        if c is None:
+        if not basis:
             raise NotSplitError(
                 f"{g} has no right root in {ctx.name}", partial_roots=roots)
+        c = basis[0]
         roots.append(c)
         g, r = g.right_divmod(SkewPolynomial.linear(ctx, c))
         if not r.is_zero():
@@ -462,26 +475,23 @@ def _bezout_one_membership(g, h):
 def left_root_report(f) -> RootReport:
     """Exact description of V'(f) = {b : f in (t-b)R} where available.
 
-    Finite contexts enumerate.  Over a commutative K with S = id and D = 0
+    Finite contexts enumerate; D = inner(d) is moved to K[t'; S] by
+    t' = t - d (Ore 1933).  Over a commutative K with S = id and D = 0
     the ring K[t] is commutative, so left roots are right roots.
     Quaternions with D = 0 use the anti-automorphism x -> conj(x): b is a
     left root of f exactly when conj(b) is a right root of the
     coefficient-conjugated polynomial.
-    Under an inner D = inner(d) the conjugate of f is sum t^i conj(f_i)
-    in the ring twisted by inner(conj(d)), not the coefficient-conjugated
-    polynomial, so that case is refused.
     """
     ctx = f.ctx
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a left root")
     if ctx.finite:
         return RootReport(f, True, tuple(left_roots(f)), (), "enumeration")
+    if ctx.d_desc[0] == "inner":
+        return _inner_transport(left_root_report, f)
     if ctx.commutative and ctx.s_is_identity and ctx.d_desc[0] == "zero":
         return right_root_report(f)
     if ctx.kind == "HQ":
-        if ctx.d_desc[0] != "zero":
-            raise NotSplitError(
-                f"the quaternion root engine assumes D = 0, not {ctx.describe()}")
         fbar = SkewPolynomial(ctx, tuple(c.conjugate() for c in f.coeffs))
         rep = right_root_report(fbar)
         roots = tuple(sorted((r.conjugate() for r in rep.roots),

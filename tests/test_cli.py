@@ -137,25 +137,39 @@ def test_split_reports_not_split(capsys):
     assert code == 1
 
 
-def test_quaternions_with_a_derivation_are_not_split(capsys):
-    # the quaternion root engine assumes D = 0; it must say so, not answer
-    for argv in (["is-wedderburn", "--ring", "HQ", "--D", "inner:i",
-                  "t^2 + [1]"],
-                 ["roots", "--ring", "HQ", "--D", "inner:j", "t + [-i]"],
-                 ["left-roots", "--ring", "HQ", "--D", "inner:j", "t + [-i]"],
-                 ["split", "--ring", "HQ", "--D", "inner:j", "t + [-i]"]):
-        code, out, _ = run(argv, capsys)
-        assert code == 0, argv
-        assert out.startswith("NOT_SPLIT: the quaternion root engine "
-                              "assumes D = 0"), argv
-    code, out, _ = run(["metro", "equiv", "--ring", "HQ", "--D", "inner:i",
+def test_quaternions_with_an_inner_derivation_are_answered(capsys):
+    # D = inner(d) is answered in K[t'; S] with t' = t - d
+    hq = ["--ring", "HQ", "--D"]
+    for argv, want in (
+            (["is-wedderburn", *hq, "inner:i", "t^2 + [1]"],
+             "verdict = IS_W\nroot basis: i, -i\ncertificate recheck: pass\n"),
+            (["roots", *hq, "inner:j", "t + [-i]"],
+             "method: conjugacy-classes\nroots = {i}\n"),
+            (["left-roots", *hq, "inner:j", "t + [-i]"],
+             "method: conjugate-transpose\nroots = {i}\n"),
+            (["split", *hq, "inner:j", "t + [-i]"], "f = (t - [i])\n")):
+        assert run(argv, capsys)[:2] == (0, want), argv
+    code, out, _ = run(["metro", "equiv", *hq, "inner:i",
                         "--a", "j", "--b", "k", "--c", "1"], capsys)
     assert code == 0
-    assert "product is a minimal polynomial of its roots: undecided" in out
+    assert "product is a minimal polynomial of its roots: false" in out
+    assert "consistent: true" in out
     # an inner derivation by a central element is zero, and is answered
     code, out, _ = run(["is-wedderburn", "--ring", "HQ", "--D", "inner:2",
                         "t^2 + [1]"], capsys)
     assert code == 0 and "verdict = IS_W" in out
+
+
+def test_refusals_under_an_inner_derivation_name_the_given_context(capsys):
+    # the transported search runs with D = 0, but refusals name inner(x)
+    qx = ["--ring", "Qx", "--S", "xsq", "--D", "inner:x", "t^2 + [1]"]
+    code, out, _ = run(["roots", *qx], capsys)
+    assert (code, out) == (0, "NOT_SPLIT: no exact root search for degree 2 "
+                              "over Q(x) [S=x->x^2, D=inner(x)]\n")
+    code, out, err = run(["left-roots", *qx], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: no left-root search over "
+                   "Q(x) [S=x->x^2, D=inner(x)]\n")
 
 
 def test_riccati_solver_failure_is_not_split(capsys, monkeypatch):
@@ -207,11 +221,12 @@ def test_golden_cli_outputs(capsys):
     # and of the root, recognition, split, minpoly, closure, dual,
     # expspace, rgcd and metro commands over F4 and F8 under S = id, frob,
     # frob^2 with D = 0, inner(w), of phi, rank, pbasis, vandermonde-check,
-    # rank-theorems, metro over Q and Q(x), and left-roots over Q and Q(x),
-    # pinned verbatim: element formatting, sort_key and node order must not
-    # drift
+    # rank-theorems, metro over Q and Q(x), left-roots over Q and Q(x), and
+    # roots, left-roots, is-wedderburn, split and metro equiv over HQ with
+    # D = inner(d), pinned verbatim: element formatting, sort_key and node
+    # order must not drift
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) >= 198
+    assert len(cases) >= 215
     for case in cases:
         code, out, _ = run(case["argv"], capsys)
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import rng_for
 from wpoly import metro
-from wpoly.errors import ClassMembershipError, NotSplitError
+from wpoly.errors import ClassMembershipError
 from wpoly.evaluate import conjugate, evaluate
 from wpoly.metro import (MULTIPLE, NO_SOLUTION, SOLUTION, UNIQUE,
                          MetroProblem, MetroSolutionReport,
@@ -282,10 +282,9 @@ def test_hq_class_polynomial_under_an_inner_derivation():
     assert ctx.is_zero(evaluate(minpoly, ctx.j))
     # every conjugate x(j - i)x^-1 + i differs from i
     assert not member
-    # so no class membership is claimed; the root engine then cannot
-    # decide the product under a non-central inner D
-    with pytest.raises(NotSplitError):
-        class_algebraic_uniqueness(ctx, ctx.j, ctx.i, ctx.one)
+    # so the product is a minimal polynomial and the solution is unique
+    rep = class_algebraic_uniqueness(ctx, ctx.j, ctx.i, ctx.one)
+    assert rep.ok and rep.uniqueness == UNIQUE and rep.poly_is_w
 
 
 def test_hq_class_polynomial_vanishes_on_conjugates():

@@ -14,7 +14,7 @@ from wpoly.evaluate import conjugacy_class_reps, conjugate, evaluate
 from wpoly.parsing import parse_polynomial
 from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial, monic_polynomials, product_of_linears
-from wpoly.wedderburn import (IS_W, NOT_W, RootReport, centralizer,
+from wpoly.wedderburn import (IS_W, NOT_W, centralizer,
                               diagonalization_check, dual_representation,
                               exponential_space, factor_theorem_check,
                               is_wedderburn,
@@ -219,19 +219,76 @@ def test_left_roots_of_commutative_untwisted_rings_are_right_roots():
         left_root_report(SkewPolynomial.linear(qx, qx.x))
 
 
-def test_left_roots_of_quaternions_under_an_inner_derivation_are_refused(
-        monkeypatch):
-    # under inner(i) the left root 1 + j of (t - (1+j))(t - (i+2k)) does not
-    # come back as the conjugate of a right root of the coefficient-
-    # conjugated polynomial, so the guard must fire even when the right-root
-    # engine answers
+def test_left_roots_of_quaternions_under_an_inner_derivation():
+    # under inner(i) the left root 1 + j of (t - (1+j))(t - (i+2k)) is not
+    # the conjugate of a right root of the coefficient-conjugated
+    # polynomial; the transport to t' = t - i finds it
     hq = make_context("HQ", d_desc=("inner", BACKENDS["HQ"].i))
     f = product_of_linears(hq, [hq.i + hq.k + hq.k, hq.one + hq.j])
-    monkeypatch.setattr(wedderburn, "right_root_report",
-                        lambda g: RootReport(g, True, (), (), "stub"))
-    with pytest.raises(NotSplitError,
-                       match="^the quaternion root engine assumes D = 0"):
-        left_root_report(f)
+    report = left_root_report(f)
+    assert report.finite and hq.one + hq.j in report.roots
+    for b in report.roots:
+        assert f.left_divmod(SkewPolynomial.linear(hq, b))[1].is_zero()
+    assert hq.i + hq.k + hq.k in right_root_report(f).roots
+
+
+def test_inner_transport_matches_enumeration_over_f4_and_f8():
+    # finite contexts enumerate in the D context itself; the transport to
+    # the D = 0 twin must list the same right and left roots
+    for name, s_descs, max_deg in (("F4", (("frob", 1),), 3),
+                                   ("F8", (("frob", 1), ("frob", 2)), 2)):
+        for s_desc in s_descs:
+            base = make_context(name, s_desc=s_desc)
+            for d in base.elements()[1:]:
+                ctx = make_context(name, s_desc=s_desc, d_desc=("inner", d))
+                for deg in range(1, max_deg + 1):
+                    for f in monic_polynomials(ctx, deg):
+                        for report in (right_root_report, left_root_report):
+                            moved = wedderburn._inner_transport(report, f)
+                            assert moved.roots == report(f).roots, (f, report)
+
+
+def _small_quaternion(ctx, rng, nonzero=False):
+    while True:
+        a = ctx.from_vec([rng.randint(-2, 2) for _ in range(4)])
+        if a or not nonzero:
+            return a
+
+
+def test_inner_transport_commutes_with_quaternion_automorphisms():
+    # x -> q x q^-1 sends HQ[t; inner(d)] onto HQ[t; inner(q d q^-1)]
+    # coefficientwise, so roots, class dimensions and verdicts correspond
+    rng = rng_for("hq-inner-model", 0)
+    hq = BACKENDS["HQ"]
+    for _ in range(30):
+        d = _small_quaternion(hq, rng)
+        if d.is_central():
+            d = d + hq.j
+        q = _small_quaternion(hq, rng, nonzero=True)
+        phi = lambda x: q * x * q.inverse()
+        ctx = make_context("HQ", d_desc=("inner", d))
+        img = make_context("HQ", d_desc=("inner", phi(d)))
+        roots = [_small_quaternion(ctx, rng)]
+        for _ in range(rng.randint(1, 3)):
+            # a new root, one in the class of the previous root, or the one
+            # that makes (t - b)(t - prev) central in t' = t - d
+            prev = roots[-1]
+            roots.append(rng.choice((
+                _small_quaternion(ctx, rng),
+                conjugate(ctx, prev, _small_quaternion(ctx, rng, True)),
+                (prev - d).conjugate() + d)))
+        f = product_of_linears(ctx, roots)
+        g = SkewPolynomial(img, tuple(phi(c) for c in f.coeffs))
+        for report in (right_root_report, left_root_report):
+            a, b = report(f), report(g)
+            assert a.finite == b.finite
+            assert sorted(map(phi, a.roots), key=img.sort_key) == list(b.roots)
+            assert (sorted(c.dimension for c in a.classes)
+                    == sorted(c.dimension for c in b.classes))
+        assert all(img.is_zero(evaluate(g, phi(x)))
+                   for x in right_root_report(f).basis)
+        cert, image = is_wedderburn(f), is_wedderburn(g)
+        assert cert.verdict == image.verdict and cert.recheck()
 
 
 # ---------------------------------------------------------------------------
