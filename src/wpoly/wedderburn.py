@@ -31,7 +31,6 @@ from .evaluate import (
     power_functions,
     right_roots,
 )
-from .rings import RationalContext
 from .rootfind import (
     derivation_quadratic_roots,
     quaternion_candidate_classes,
@@ -125,12 +124,14 @@ class ClassRootSet:
 
     @property
     def central_text(self) -> str:
-        ring = RationalContext()
-        tag = self.central_poly
-        if tag[0] == "lin":
-            p = SkewPolynomial.linear(ring, tag[1])
-        else:
-            p = SkewPolynomial(ring, (tag[2], -tag[1], ring.one))
+        """The minimal polynomial p over Q of rep, or p(t - d) for that of
+        rep - d under D = inner(d), as t - d commutes with K (Ore 1933)."""
+        ctx, tag = self.space.ctx, self.central_poly
+        x = SkewPolynomial.linear(
+            ctx, ctx.d_desc[1] if ctx.d_desc[0] == "inner" else ctx.zero)
+        p = SkewPolynomial.zero(ctx)
+        for c in (1, -tag[1]) + tag[2:]:
+            p = p * x + SkewPolynomial.constant(ctx, ctx.from_vec((c, 0, 0, 0)))
         return str(p)
 
     def sample_root(self):
@@ -161,6 +162,7 @@ class RootReport:
 
 
 def _quaternion_root_classes(f):
+    ctx = f.ctx
     out = []
     for tag, rep in quaternion_candidate_classes(f):
         space = exponential_space(f, rep)
@@ -231,6 +233,11 @@ def right_root_report(f) -> RootReport:
         f"no exact root search for degree {deg} over {ctx.describe()}")
 
 
+def _first_root(f):
+    basis = right_root_report(f).basis
+    return basis[0] if basis else None
+
+
 # ---------------------------------------------------------------------------
 # splitting and recognition
 
@@ -248,13 +255,12 @@ def split(f):
     g = f
     while g.degree > 0:
         try:
-            basis = right_root_report(g).basis
+            c = _first_root(g)
         except NotSplitError as exc:
             raise NotSplitError(exc.reason, partial_roots=roots) from None
-        if not basis:
+        if c is None:
             raise NotSplitError(
                 f"{g} has no right root in {ctx.name}", partial_roots=roots)
-        c = basis[0]
         roots.append(c)
         g, r = g.right_divmod(SkewPolynomial.linear(ctx, c))
         if not r.is_zero():

@@ -257,7 +257,8 @@ def _small_quaternion(ctx, rng, nonzero=False):
 
 def test_inner_transport_commutes_with_quaternion_automorphisms():
     # x -> q x q^-1 sends HQ[t; inner(d)] onto HQ[t; inner(q d q^-1)]
-    # coefficientwise, so roots, class dimensions and verdicts correspond
+    # coefficientwise, so roots, class dimensions, central polynomials and
+    # verdicts correspond
     rng = rng_for("hq-inner-model", 0)
     hq = BACKENDS["HQ"]
     for _ in range(30):
@@ -285,6 +286,17 @@ def test_inner_transport_commutes_with_quaternion_automorphisms():
             assert sorted(map(phi, a.roots), key=img.sort_key) == list(b.roots)
             assert (sorted(c.dimension for c in a.classes)
                     == sorted(c.dimension for c in b.classes))
+            central = [parse_polynomial(c.central_text, ctx) for c in a.classes]
+            assert (sorted(str(SkewPolynomial(img, tuple(map(phi, p.coeffs))))
+                           for p in central)
+                    == sorted(c.central_text for c in b.classes))
+            # p(t - d) is central in t and vanishes on its class
+            for c, p in zip(a.classes, central):
+                for x in (SkewPolynomial.t(ctx), *(SkewPolynomial.constant(
+                        ctx, u) for u in (ctx.i, ctx.j, ctx.k))):
+                    assert p * x == x * p, (p, x)
+                for r in (c.rep, c.sample_root()):
+                    assert ctx.is_zero(evaluate(p, r)), (p, r)
         assert all(img.is_zero(evaluate(g, phi(x)))
                    for x in right_root_report(f).basis)
         cert, image = is_wedderburn(f), is_wedderburn(g)
