@@ -750,10 +750,27 @@ class DivisionRingContext:
     @cached_property
     def twin(self):
         """The same ring and S with D = 0, built on first use."""
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__, d_desc=("zero",))
-        twin.key = (self.kind, self._ring_params(), self.s_desc, twin.d_desc)
-        return twin
+        return self._rebuild(self.s_desc, ("zero",))
+
+    @cached_property
+    def opposite(self):
+        """K[t; S^-1, D o S^-1], onto which a -> conj(a), t -> -t is an
+        anti-isomorphism (Ore 1933); built on first use."""
+        s_desc, d_desc = self.s_desc, self.d_desc
+        if s_desc[0] == "frob":
+            s_desc = ("frob", -s_desc[1] % self.k)
+        elif not self.s_is_identity:  # left roots are searched in this ring
+            raise CapabilityMissingError(
+                f"no left-root search over {self.describe()}")
+        if d_desc[0] == "inner":
+            d_desc = ("inner", -self.conj(d_desc[1]))
+        return self._rebuild(s_desc, d_desc)
+
+    def _rebuild(self, s_desc, d_desc):
+        """A new context on the same ring, under its name, with S and D."""
+        ctx = type(self)(*self._ring_params(), s_desc, d_desc)
+        ctx.name = self.name
+        return ctx
 
     def describe(self):
         s = {"id": "S=id", "frob": f"S=frob^{self.s_desc[1]}" if len(self.s_desc) > 1 else "S=frob",
@@ -776,6 +793,10 @@ class DivisionRingContext:
 
     def inv(self, a):
         return a.inverse()
+
+    def conj(self, a):
+        """The conjugation anti-automorphism, trivial when K is commutative."""
+        return a
 
     def is_zero(self, a):
         return a == self.zero
@@ -1097,6 +1118,9 @@ class QuaternionContext(DivisionRingContext):
 
     def from_int(self, n):
         return Quaternion(n)
+
+    def conj(self, a):
+        return a.conjugate()
 
     def s_preimage(self, a):
         return a

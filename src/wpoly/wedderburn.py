@@ -26,7 +26,6 @@ from .evaluate import (
     conjugate,
     evaluate,
     lambda_matrix,
-    left_roots,
     phi_transform,
     power_functions,
     right_roots,
@@ -171,23 +170,34 @@ def _quaternion_root_classes(f):
     return tuple(out)
 
 
+def _transport(report, f, target, coeff, t_image, anti, back, moved):
+    """report(f) through the isomorphism (anti-isomorphism if anti) onto
+    target sending a to coeff(a) and t to the polynomial with coefficients
+    t_image; back and moved carry roots and classes back to f's ring, and
+    refusals name f's context."""
+    ctx = f.ctx
+    g, image = SkewPolynomial.zero(target), SkewPolynomial(target, t_image)
+    for c in reversed(f.coeffs):
+        c = SkewPolynomial.constant(target, coeff(c))
+        g = (image * g if anti else g * image) + c
+    try:
+        rep = report(g)
+    except (NotSplitError, CapabilityMissingError) as exc:
+        raise type(exc)(str(exc).replace(target.describe(),
+                                         ctx.describe())) from None
+    roots = tuple(sorted(map(back, rep.roots), key=ctx.sort_key))
+    return RootReport(f, rep.finite, roots, tuple(map(moved, rep.classes)),
+                      rep.method)
+
+
 def _inner_transport(report, f) -> RootReport:
     """report(f) under D = inner(d), from the D = 0 twin: t' = t - d has
     t'a = S(a)t' (Ore 1933), so r is a right (left) root of f iff r - d is
     one of g(t') = f(t' + d), and (r + d)^x = r^x + d keeps class bases."""
     ctx, twin, d = f.ctx, f.ctx.twin, f.ctx.d_desc[1]
-    g, shift = SkewPolynomial.zero(twin), SkewPolynomial(twin, (d, twin.one))
-    for c in reversed(f.coeffs):
-        g = g * shift + SkewPolynomial.constant(twin, c)
-    try:
-        rep = report(g)
-    except (NotSplitError, CapabilityMissingError) as exc:
-        raise type(exc)(str(exc).replace(twin.describe(),
-                                         ctx.describe())) from None
-    roots = tuple(sorted((r + d for r in rep.roots), key=ctx.sort_key))
-    classes = tuple(replace(c, space=replace(c.space, ctx=ctx, rep=c.rep + d))
-                    for c in rep.classes)
-    return RootReport(f, rep.finite, roots, classes, rep.method)
+    return _transport(
+        report, f, twin, lambda a: a, (d, twin.one), False, lambda r: r + d,
+        lambda c: replace(c, space=replace(c.space, ctx=ctx, rep=c.rep + d)))
 
 
 def right_root_report(f) -> RootReport:
@@ -481,31 +491,24 @@ def _bezout_one_membership(g, h):
 def left_root_report(f) -> RootReport:
     """Exact description of V'(f) = {b : f in (t-b)R} where available.
 
-    Finite contexts enumerate; D = inner(d) is moved to K[t'; S] by
-    t' = t - d (Ore 1933).  Over a commutative K with S = id and D = 0
-    the ring K[t] is commutative, so left roots are right roots.
-    Quaternions with D = 0 use the anti-automorphism x -> conj(x): b is a
-    left root of f exactly when conj(b) is a right root of the
-    coefficient-conjugated polynomial.
+    psi: a -> conj(a), t -> -t is an anti-isomorphism onto the opposite ring
+    K[t; S^-1, D o S^-1] (Ore 1933) with psi((t - b)g) = -psi(g)(t + conj(b)),
+    so b is a left root of f iff -conj(b) is a right root of psi(f).  A class
+    (a, x) moves to (-conj(a), conj(x)^-1) with its central tag's linear term
+    negated, as -conj(a^x) = (-conj(a))^(conj(x)^-1).  Raises
+    CapabilityMissingError where S has no inverse.
     """
-    ctx = f.ctx
     if f.is_zero():
         raise ValueError("zero polynomial has every element as a left root")
-    if ctx.finite:
-        return RootReport(f, True, tuple(left_roots(f)), (), "enumeration")
-    if ctx.d_desc[0] == "inner":
-        return _inner_transport(left_root_report, f)
-    if ctx.commutative and ctx.s_is_identity and ctx.d_desc[0] == "zero":
-        return right_root_report(f)
-    if ctx.kind == "HQ":
-        fbar = SkewPolynomial(ctx, tuple(c.conjugate() for c in f.coeffs))
-        rep = right_root_report(fbar)
-        roots = tuple(sorted((r.conjugate() for r in rep.roots),
-                             key=ctx.sort_key)) if rep.finite else ()
-        return RootReport(f, rep.finite, roots, rep.classes,
-                          "conjugate-transpose")
-    raise CapabilityMissingError(
-        f"no left-root search over {ctx.describe()}")
+    ctx, op = f.ctx, f.ctx.opposite
+
+    def moved(c):
+        tag = c.central_poly
+        basis = tuple(ctx.inv(ctx.conj(x)) for x in c.space.basis)
+        return ClassRootSet((tag[0], -tag[1]) + tag[2:], replace(
+            c.space, ctx=ctx, rep=-ctx.conj(c.rep), basis=basis))
+    return _transport(right_root_report, f, op, ctx.conj, (op.zero, -op.one),
+                      True, lambda r: -ctx.conj(r), moved)
 
 
 @dataclass(frozen=True)
@@ -552,12 +555,14 @@ def product_theorem_check(g, h) -> ProductTheoremReport:
     g_w = is_wedderburn(g).is_w
     h_w = is_wedderburn(h).is_w
     bezout = phi_cover = quad = None
-    if ctx.finite or ctx.kind == "HQ":
+    try:
         rg, rh = right_root_report(g), left_root_report(h)
-        if rg.finite and rh.finite:
-            quad = all(is_wedderburn(SkewPolynomial.linear(ctx, a)
-                                     * SkewPolynomial.linear(ctx, b)).is_w
-                       for a in rg.roots for b in rh.roots)
+    except (NotSplitError, CapabilityMissingError):
+        rg = rh = None
+    if rh is not None and rg.finite and rh.finite:
+        quad = all(is_wedderburn(SkewPolynomial.linear(ctx, a)
+                                 * SkewPolynomial.linear(ctx, b)).is_w
+                   for a in rg.roots for b in rh.roots)
     if ctx.finite:
         bezout = _bezout_one_membership(g, h) if f.degree else True
         image = set()

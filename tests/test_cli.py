@@ -146,7 +146,7 @@ def test_quaternions_with_an_inner_derivation_are_answered(capsys):
             (["roots", *hq, "inner:j", "t + [-i]"],
              "method: conjugacy-classes\nroots = {i}\n"),
             (["left-roots", *hq, "inner:j", "t + [-i]"],
-             "method: conjugate-transpose\nroots = {i}\n"),
+             "method: conjugacy-classes\nroots = {i}\n"),
             (["split", *hq, "inner:j", "t + [-i]"], "f = (t - [i])\n")):
         assert run(argv, capsys)[:2] == (0, want), argv
     code, out, _ = run(["metro", "equiv", *hq, "inner:i",
@@ -221,12 +221,12 @@ def test_golden_cli_outputs(capsys):
     # and of the root, recognition, split, minpoly, closure, dual,
     # expspace, rgcd and metro commands over F4 and F8 under S = id, frob,
     # frob^2 with D = 0, inner(w), of phi, rank, pbasis, vandermonde-check,
-    # rank-theorems, metro over Q and Q(x), left-roots over Q and Q(x), and
-    # roots, left-roots, is-wedderburn, split and metro equiv over HQ with
-    # D = inner(d), pinned verbatim: element formatting, sort_key and node
-    # order must not drift
+    # rank-theorems, metro over Q and Q(x), left-roots over Q, Q(x) and
+    # Q(u), and roots, left-roots, is-wedderburn, split and metro equiv over
+    # HQ with D = 0 and inner(d), pinned verbatim: element formatting,
+    # sort_key and node order must not drift
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) >= 215
+    assert len(cases) >= 221
     for case in cases:
         code, out, _ = run(case["argv"], capsys)
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

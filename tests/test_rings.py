@@ -289,6 +289,27 @@ def test_describe_and_keys():
     assert make_context("HQ", d_desc=("inner", hq.i)) != hq
 
 
+def test_twin_and_opposite_are_built_from_the_ring():
+    # the opposite ring is K[t; S^-1, D o S^-1] with inner(d) -> inner(-d^);
+    # neither context inherits the other's cached twin or opposite
+    f8 = BACKENDS["F8"]
+    ctx = make_context("F8", ("frob", 1), ("inner", f8.w))
+    assert ctx.opposite == make_context("F8", ("frob", 2), ("inner", f8.w))
+    assert ctx.twin == f8
+    assert ctx.twin.opposite == make_context("F8", ("frob", 2))
+    assert ctx.opposite.opposite == ctx and ctx.opposite.describe() == (
+        "F8 [S=frob^2, D=inner(w)]")
+    assert all(ctx.opposite.S(ctx.S(a)) == a for a in f8.elements())
+    hq = BACKENDS["HQ"]
+    inner = make_context("HQ", d_desc=("inner", hq.i + hq.j))
+    assert inner.opposite == make_context("HQ", d_desc=("inner", hq.i + hq.j))
+    assert inner.opposite.twin == hq
+    assert inner.conj(hq.i + hq.k) == -hq.i - hq.k
+    assert BACKENDS["Qu"].opposite == BACKENDS["Qu"]
+    with pytest.raises(CapabilityMissingError, match="no left-root search"):
+        BACKENDS["Qx"].opposite
+
+
 def test_sort_key_orders_elements_totally():
     for name in ("F4", "F8"):
         ctx = BACKENDS[name]

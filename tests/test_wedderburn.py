@@ -4,13 +4,15 @@ import itertools
 
 import pytest
 
-from helpers import backend_contexts, random_poly, random_set, rng_for
+from helpers import (backend_contexts, random_poly, random_set, rng_for,
+                     simple_element)
 from wpoly import wedderburn
 from wpoly.algsets import minimal_polynomial, rank
 from wpoly.errors import (CapabilityMissingError, DisjointnessError,
                           DomainRequiredError, NotPIndependentError,
                           NotSplitError)
-from wpoly.evaluate import conjugacy_class_reps, conjugate, evaluate
+from wpoly.evaluate import (conjugacy_class_reps, conjugate, evaluate,
+                            is_left_root)
 from wpoly.parsing import parse_polynomial
 from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial, monic_polynomials, product_of_linears
@@ -179,17 +181,20 @@ def test_split_failure_carries_partial_chain():
 
 
 def test_left_root_report_finite_matches_brute():
-    ctx = BACKENDS["F8"]
-    rng = rng_for("leftrep", 43)
-    for _ in range(10):
-        f = random_poly(ctx, rng, 3, monic=True, min_deg=1)
-        report = left_root_report(f)
-        brute = []
-        for b in ctx.elements():
-            div = f.left_divmod(SkewPolynomial.linear(ctx, b))
-            if div is not None and div[1].is_zero():
-                brute.append(b)
-        assert sorted(report.roots, key=ctx.sort_key) == sorted(brute, key=ctx.sort_key)
+    # under every S = frob^e, with D = 0 and with every inner(d), the right
+    # roots of psi(f) in the opposite ring, moved back, are exactly the b
+    # with t - b left-dividing f
+    for name, k, max_deg in (("F4", 2, 3), ("F8", 3, 2)):
+        elems = make_context(name).elements()
+        contexts = dict.fromkeys(
+            make_context(name, s_desc=("frob", e), d_desc=d_desc)
+            for e in range(k)
+            for d_desc in [("zero",)] + [("inner", d) for d in elems[1:]])
+        for ctx in contexts:
+            for deg in range(max_deg + 1):
+                for f in monic_polynomials(ctx, deg):
+                    brute = [b for b in elems if is_left_root(f, b)]
+                    assert list(left_root_report(f).roots) == brute, (ctx, f)
 
 
 def test_left_root_report_quaternion_conjugate_transpose():
@@ -230,6 +235,51 @@ def test_left_roots_of_quaternions_under_an_inner_derivation():
     for b in report.roots:
         assert f.left_divmod(SkewPolynomial.linear(hq, b))[1].is_zero()
     assert hq.i + hq.k + hq.k in right_root_report(f).roots
+
+
+def test_left_roots_and_class_samples_of_quaternions_left_divide():
+    # p(t - d) * (t - a) and (t - a) * p(t - d) with p = t^2 + c central:
+    # every listed left root, class sample and basis element left-divides f
+    hq = BACKENDS["HQ"]
+    for d in (hq.zero, hq.i):
+        ctx = make_context("HQ", d_desc=("inner", d))
+        rng = rng_for("hq-left-samples", 0)
+        x = SkewPolynomial.linear(ctx, d)
+        infinite = 0
+        for _ in range(12):
+            n = ctx.from_int(rng.randint(1, 3))
+            p = x * x + SkewPolynomial.constant(ctx, n)
+            lin = SkewPolynomial.linear(ctx, _small_quaternion(ctx, rng))
+            for f in (p * lin, lin * p):
+                report = left_root_report(f)
+                infinite += not report.finite
+                for b in (*report.roots, *report.basis,
+                          *(c.sample_root() for c in report.classes)):
+                    assert is_left_root(f, b), (ctx, f, b)
+        assert infinite
+
+
+def test_left_roots_over_qu_left_divide():
+    # Q(u) with d/du is its own opposite ring; psi(f) is the formal adjoint
+    qu = BACKENDS["Qu"]
+    rng = rng_for("qu-left", 0)
+    listed = 0
+    for _ in range(8):
+        a, b = simple_element(qu, rng), simple_element(qu, rng)
+        f = product_of_linears(qu, [a, b])  # (t - b)(t - a)
+        report = left_root_report(f)
+        assert all(is_left_root(f, r) for r in report.roots), f
+        listed += b in report.roots
+    # the Riccati engine misses b in two of them (ROADMAP item 7(c1))
+    assert listed >= 6
+
+
+@pytest.mark.xfail(strict=True, reason="sympy's Riccati solver misses a "
+                   "rational root (ROADMAP item 7(c1))")
+def test_left_roots_over_qu_list_u():
+    qu = BACKENDS["Qu"]
+    f = parse_polynomial("t^2 + [-u]*t", qu)  # (t - u) * t
+    assert qu.x in left_root_report(f).roots
 
 
 def test_inner_transport_matches_enumeration_over_f4_and_f8():
@@ -433,6 +483,19 @@ def test_product_theorem_consistency():
                                 SkewPolynomial.linear(f4, f4.one))
     assert rep.product_w and rep.consistent
     assert rep.untested == ()
+    # the quadratic criterion runs wherever both root reports are finite
+    qx = make_context("Qx", s_desc=("id",))
+    for ctx, g, h, product_w in (
+            (BACKENDS["Q"], "t + [-1]", "t + [1]", True),
+            (BACKENDS["Q"], "t + [-1]", "t + [-1]", False),
+            (qx, "t + [-x]", "t + [x]", True),
+            (qx, "t + [-x]", "t + [-x]", False),
+            (BACKENDS["Qu"], "t + [-2]", "t + [1]", True),
+            (BACKENDS["Qu"], "t + [-u]", "t + [-u]", True)):
+        rep = product_theorem_check(parse_polynomial(g, ctx),
+                                    parse_polynomial(h, ctx))
+        assert rep.quadratic_pairs is not None, (ctx, g, h)
+        assert rep.product_w == product_w and rep.consistent, (ctx, g, h)
 
 
 # ---------------------------------------------------------------------------
