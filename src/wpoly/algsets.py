@@ -51,6 +51,15 @@ def minimal_polynomial(ctx, elements) -> MinimalPolynomialResult:
     return MinimalPolynomialResult(g, tuple(basis))
 
 
+def class_minimal_polynomial(ctx, b) -> SkewPolynomial:
+    """Minimal polynomial of the (S, D)-conjugacy class of b (Lam & Leroy
+    1988), from the conjugates of b by the base units alone: for x != 0,
+    f(b^x)*x = Lambda_f(x), which is linear over the central base field, so
+    f vanishes on the class once it vanishes on those conjugates."""
+    return minimal_polynomial(ctx, dict.fromkeys(
+        conjugate(ctx, b, e) for e in ctx.base_units())).poly
+
+
 def rank(ctx, elements) -> int:
     return minimal_polynomial(ctx, elements).rank
 

@@ -257,7 +257,7 @@ def _cmd_expspace(args, ctx):
     inputs = {"poly": args.poly, "rep": args.rep}
     result = {"dimension": basis.dimension,
               "basis": [str(x) for x in basis.basis],
-              "centralizer_dimension": len(basis.centralizer_basis)}
+              "centralizer_dimension": len(wedderburn.centralizer(ctx, a))}
     lines = [f"dim E(f, a) over the centralizer = {basis.dimension}",
              "basis: " + (", ".join(str(x) for x in basis.basis) or "(zero space)")]
     return _emit(args, ctx, inputs, result, lines)

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algsets import minimal_polynomial
+from .algsets import class_minimal_polynomial
 from .errors import (
     CapabilityMissingError,
     ClassMembershipError,
     NotSplitError,
 )
-from .evaluate import conjugacy_class, conjugate, is_right_root
+from .evaluate import conjugate, is_right_root
 from .rings import RatFunc, ip_add, ip_deriv, ip_gcd, ip_mul, ip_sub
 from .skew import SkewPolynomial
 from .wedderburn import is_wedderburn, right_root_report
@@ -287,38 +287,18 @@ class ClassUniquenessReport:
         return self.poly_is_w and self.uniqueness == UNIQUE
 
 
-def _class_minpoly_and_membership(ctx, b, a):
-    if ctx.finite:
-        cls = conjugacy_class(ctx, b)
-        member = a in cls
-        return minimal_polynomial(ctx, list(cls)).poly, member
-    if ctx.kind == "HQ":
-        # a class of HQ is {b}, or it has rank 2 and is the root set of the
-        # minimal polynomial of any two of its elements; b^i or b^j differs
-        # from b unless the class is {b}
-        gens = [b]
-        for x in (ctx.i, ctx.j):
-            y = conjugate(ctx, b, x)
-            if y != b:
-                gens.append(y)
-                break
-        minpoly = minimal_polynomial(ctx, gens).poly
-        return minpoly, is_right_root(minpoly, a)
-    raise CapabilityMissingError(
-        f"no algebraic conjugacy classes available over {ctx.name}")
-
-
 def class_algebraic_uniqueness(ctx, b, a, c) -> ClassUniquenessReport:
     """Unique solvability when a avoids the algebraic class of b.
 
-    The class of b must be algebraic with a computable minimal polynomial;
-    membership of a is tested exactly, and then both halves of the claimed
-    conclusion are verified: (t-b^c)(t-a) is the minimal polynomial of its
-    roots, and the equation has exactly one solution.
+    The class of b must be algebraic with a computable minimal polynomial
+    f_b; a lies in the class iff f_b(a) = 0, since ranks add across distinct
+    classes.  Then both halves of the claimed conclusion are verified:
+    (t-b^c)(t-a) is the minimal polynomial of its roots, and the equation
+    has exactly one solution.
     """
     problem = MetroProblem(ctx, a, b, c)
-    minpoly, member = _class_minpoly_and_membership(ctx, b, a)
-    if member:
+    minpoly = class_minimal_polynomial(ctx, b)
+    if is_right_root(minpoly, a):
         raise ClassMembershipError(
             "a lies in the conjugacy class of b; uniqueness is not claimed there")
     f = metro_polynomial(problem)

@@ -860,6 +860,9 @@ class DivisionRingContext:
 
     def base_units(self):
         """The elements whose base-field coordinates are the unit vectors."""
+        if self.base_dim is None:
+            raise CapabilityMissingError(
+                f"{self.name} is not finite dimensional over a central subfield")
         one = self.base
         zero = one - one
         return [self.from_vec([one if i == m else zero

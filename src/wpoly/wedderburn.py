@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import linalg
-from .algsets import is_p_independent, minimal_polynomial, rank
+from .algsets import (class_minimal_polynomial, is_p_independent,
+                      minimal_polynomial, rank)
 from .errors import (
     CapabilityMissingError,
     DisjointnessError,
@@ -48,25 +49,36 @@ NOT_W = "NOT_W"
 def centralizer(ctx, a):
     """Base-field basis of C_a = {0} u {c != 0 : a^c = a}, which is the
     exponential space E(t - a, a)."""
-    if ctx.base_dim is None:
-        raise CapabilityMissingError(
-            f"{ctx.name} is not finite dimensional over a central subfield")
     matrix = lambda_matrix(ctx, SkewPolynomial.linear(ctx, a), a)
     ker = linalg.kernel(matrix, ctx.base)
     return tuple(ctx.from_vec(v) for v in ker)
 
 
 @dataclass(frozen=True)
-class ExponentialSpaceBasis:
+class ClassRootSet:
+    """A right basis over the centralizer of rep of the exponential space
+    E(f, rep), whose nonzero x give the roots rep^x of f in the class of
+    rep; central_poly is the root engine's tag of the class, if any."""
+
     ctx: object
     rep: object
     basis: tuple
-    base_kernel: tuple
-    centralizer_basis: tuple
+    central_poly: tuple = None
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @property
+    def finite(self) -> bool:
+        return self.dimension <= 1
+
+    @property
+    def central_text(self) -> str:
+        return str(class_minimal_polynomial(self.ctx, self.rep))
+
+    def sample_root(self):
+        return conjugate(self.ctx, self.rep, self.basis[0])
 
 
 def exponential_space(f, a):
@@ -77,9 +89,6 @@ def exponential_space(f, a):
     E(f, a) is a right C_a-vector space.
     """
     ctx = f.ctx
-    if ctx.base_dim is None:
-        raise CapabilityMissingError(
-            f"{ctx.name} is not finite dimensional over a central subfield")
     ker = linalg.kernel(lambda_matrix(ctx, f, a), ctx.base)
     elems = tuple(ctx.from_vec(v) for v in ker)
     cent = centralizer(ctx, a)
@@ -96,46 +105,11 @@ def exponential_space(f, a):
         span_rows, _ = linalg.rref(span_rows, ctx.base)
     if len(chosen) * len(cent) != len(ker):
         raise AssertionError("centralizer reduction lost dimensions")
-    return ExponentialSpaceBasis(ctx, a, tuple(chosen), elems, cent)
+    return ClassRootSet(ctx, a, tuple(chosen))
 
 
 # ---------------------------------------------------------------------------
 # right-root reports
-
-@dataclass(frozen=True)
-class ClassRootSet:
-    """Roots of one polynomial inside one conjugacy class."""
-
-    central_poly: tuple
-    space: ExponentialSpaceBasis
-
-    @property
-    def rep(self):
-        return self.space.rep
-
-    @property
-    def dimension(self) -> int:
-        return self.space.dimension
-
-    @property
-    def finite(self) -> bool:
-        return self.dimension <= 1
-
-    @property
-    def central_text(self) -> str:
-        """The minimal polynomial p over Q of rep, or p(t - d) for that of
-        rep - d under D = inner(d), as t - d commutes with K (Ore 1933)."""
-        ctx, tag = self.space.ctx, self.central_poly
-        x = SkewPolynomial.linear(
-            ctx, ctx.d_desc[1] if ctx.d_desc[0] == "inner" else ctx.zero)
-        p = SkewPolynomial.zero(ctx)
-        for c in (1, -tag[1]) + tag[2:]:
-            p = p * x + SkewPolynomial.constant(ctx, ctx.from_vec((c, 0, 0, 0)))
-        return str(p)
-
-    def sample_root(self):
-        return conjugate(self.space.ctx, self.rep, self.space.basis[0])
-
 
 @dataclass(frozen=True)
 class RootReport:
@@ -156,32 +130,31 @@ class RootReport:
         classes."""
         if not self.classes:
             return self.roots
-        return tuple(conjugate(c.space.ctx, c.rep, x)
-                     for c in self.classes for x in c.space.basis)
+        return tuple(conjugate(c.ctx, c.rep, x)
+                     for c in self.classes for x in c.basis)
 
 
 def _quaternion_root_classes(f):
-    ctx = f.ctx
     out = []
     for tag, rep in quaternion_candidate_classes(f):
         space = exponential_space(f, rep)
         if space.dimension:
-            out.append(ClassRootSet(tag, space))
+            out.append(replace(space, central_poly=tag))
     return tuple(out)
 
 
-def _transport(report, f, target, coeff, t_image, anti, back, moved):
-    """report(f) through the isomorphism (anti-isomorphism if anti) onto
-    target sending a to coeff(a) and t to the polynomial with coefficients
-    t_image; back and moved carry roots and classes back to f's ring, and
-    refusals name f's context."""
+def _transport(f, target, coeff, t_image, anti, back, moved):
+    """right_root_report(f) through the isomorphism (anti-isomorphism if
+    anti) onto target sending a to coeff(a) and t to the polynomial with
+    coefficients t_image; back and moved carry roots and classes back to
+    f's ring, and refusals name f's context."""
     ctx = f.ctx
     g, image = SkewPolynomial.zero(target), SkewPolynomial(target, t_image)
     for c in reversed(f.coeffs):
         c = SkewPolynomial.constant(target, coeff(c))
         g = (image * g if anti else g * image) + c
     try:
-        rep = report(g)
+        rep = right_root_report(g)
     except (NotSplitError, CapabilityMissingError) as exc:
         raise type(exc)(str(exc).replace(target.describe(),
                                          ctx.describe())) from None
@@ -190,14 +163,15 @@ def _transport(report, f, target, coeff, t_image, anti, back, moved):
                       rep.method)
 
 
-def _inner_transport(report, f) -> RootReport:
-    """report(f) under D = inner(d), from the D = 0 twin: t' = t - d has
-    t'a = S(a)t' (Ore 1933), so r is a right (left) root of f iff r - d is
-    one of g(t') = f(t' + d), and (r + d)^x = r^x + d keeps class bases."""
+def _inner_transport(f) -> RootReport:
+    """right_root_report(f) under D = inner(d), from the D = 0 twin:
+    t' = t - d has t'a = S(a)t' (Ore 1933), so r is a right root of f iff
+    r - d is one of g(t') = f(t' + d), and (r + d)^x = r^x + d keeps class
+    bases."""
     ctx, twin, d = f.ctx, f.ctx.twin, f.ctx.d_desc[1]
-    return _transport(
-        report, f, twin, lambda a: a, (d, twin.one), False, lambda r: r + d,
-        lambda c: replace(c, space=replace(c.space, ctx=ctx, rep=c.rep + d)))
+    return _transport(f, twin, lambda a: a, (d, twin.one), False,
+                      lambda r: r + d,
+                      lambda c: replace(c, ctx=ctx, rep=c.rep + d))
 
 
 def right_root_report(f) -> RootReport:
@@ -213,7 +187,7 @@ def right_root_report(f) -> RootReport:
     if ctx.finite:
         return RootReport(f, True, tuple(right_roots(f)), (), "enumeration")
     if ctx.d_desc[0] == "inner":
-        return _inner_transport(right_root_report, f)
+        return _inner_transport(f)
     deg = f.degree
     if deg == 0:
         return RootReport(f, True, (), (), "constant")
@@ -504,11 +478,11 @@ def left_root_report(f) -> RootReport:
 
     def moved(c):
         tag = c.central_poly
-        basis = tuple(ctx.inv(ctx.conj(x)) for x in c.space.basis)
-        return ClassRootSet((tag[0], -tag[1]) + tag[2:], replace(
-            c.space, ctx=ctx, rep=-ctx.conj(c.rep), basis=basis))
-    return _transport(right_root_report, f, op, ctx.conj, (op.zero, -op.one),
-                      True, lambda r: -ctx.conj(r), moved)
+        return replace(c, ctx=ctx, rep=-ctx.conj(c.rep),
+                       basis=tuple(ctx.inv(ctx.conj(x)) for x in c.basis),
+                       central_poly=(tag[0], -tag[1]) + tag[2:])
+    return _transport(f, op, ctx.conj, (op.zero, -op.one), True,
+                      lambda r: -ctx.conj(r), moved)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import random
 
+from wpoly.algsets import minimal_polynomial
+from wpoly.evaluate import conjugate
 from wpoly.rings import RatFunc, make_context
 from wpoly.skew import SkewPolynomial
 
@@ -60,3 +62,17 @@ def random_poly(ctx, rng, max_deg=3, monic=False, min_deg=0, simple=False):
     coeffs = [elem(ctx, rng) for _ in range(deg)]
     coeffs.append(ctx.one if monic else elem(ctx, rng, nonzero=True))
     return SkewPolynomial(ctx, tuple(coeffs))
+
+
+def planted_w_polynomials(ctx, rng, count, max_size=3):
+    """Seeded pairs (f, delta): f is the minimal polynomial of a random set
+    delta of 2 to max_size elements, so f is W by definition and delta lies
+    in V(f), an answer known before any root engine runs.  Half the time
+    the last element is replaced by a conjugate of the first, which plants
+    a whole class where conjugation moves it."""
+    for _ in range(count):
+        delta = random_set(ctx, rng, rng.randint(2, max_size), simple=True)
+        x = conjugate(ctx, delta[0], simple_element(ctx, rng, nonzero=True))
+        if rng.random() < 0.5 and x not in delta:
+            delta[-1] = x
+        yield minimal_polynomial(ctx, delta).poly, delta

@@ -3,10 +3,12 @@
 import pytest
 
 from helpers import backend_contexts, random_set, rng_for
-from wpoly.algsets import (closure, is_full, is_p_dependent, is_p_independent,
+from wpoly.algsets import (class_minimal_polynomial, closure, is_full,
+                           is_p_dependent, is_p_independent,
                            minimal_polynomial, rank)
 from wpoly.errors import DomainRequiredError
-from wpoly.evaluate import conjugate, evaluate
+from wpoly.evaluate import conjugacy_class, conjugate, evaluate, right_roots
+from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial
 
 BACKENDS = backend_contexts()
@@ -168,3 +170,20 @@ def test_p_independence_matches_per_element_definition(name):
         assert got == expected, [str(a) for a in elems]
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_class_minimal_polynomial_matches_the_enumerated_class():
+    # under every S = frob^e with D = 0 and every inner(d), the conjugates
+    # by the base units give the minimal polynomial of the whole class,
+    # and its right roots are exactly that class
+    for name, k in (("F4", 2), ("F8", 3)):
+        for e in range(k):
+            plain = make_context(name, s_desc=("frob", e))
+            for d in plain.elements():
+                ctx = make_context(name, s_desc=("frob", e),
+                                   d_desc=("inner", d) if d else ("zero",))
+                for b in ctx.elements():
+                    cls = conjugacy_class(ctx, b)
+                    f = class_minimal_polynomial(ctx, b)
+                    assert f == minimal_polynomial(ctx, cls).poly, (ctx, b)
+                    assert right_roots(f) == cls, (ctx, b)

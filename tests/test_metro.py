@@ -8,11 +8,11 @@ import pytest
 
 from helpers import rng_for
 from wpoly import metro
-from wpoly.errors import ClassMembershipError
-from wpoly.evaluate import conjugate, evaluate
+from wpoly.algsets import class_minimal_polynomial
+from wpoly.errors import CapabilityMissingError, ClassMembershipError
+from wpoly.evaluate import conjugate, evaluate, is_right_root
 from wpoly.metro import (MULTIPLE, NO_SOLUTION, SOLUTION, UNIQUE,
                          MetroProblem, MetroSolutionReport,
-                         _class_minpoly_and_membership,
                          class_algebraic_uniqueness, metro_polynomial,
                          metro_wedderburn_equivalence, solve_metro)
 from wpoly.parsing import parse_elements
@@ -275,13 +275,24 @@ def test_class_uniqueness_membership_is_rejected():
         class_algebraic_uniqueness(F4, F4.w, F4.one, F4.one)
 
 
+def test_class_uniqueness_over_q_and_qu():
+    # the classes of Q are its points; Q(u) has no finite base dimension
+    q = make_context("Q")
+    rep = class_algebraic_uniqueness(q, q.from_int(2), q.from_int(3), q.one)
+    assert rep.ok and str(rep.class_minpoly) == "t + [-2]"
+    with pytest.raises(ClassMembershipError):
+        class_algebraic_uniqueness(q, q.from_int(2), q.from_int(2), q.one)
+    with pytest.raises(CapabilityMissingError):
+        class_algebraic_uniqueness(QU, QU.x, QU.one, QU.one)
+
+
 def test_hq_class_polynomial_under_an_inner_derivation():
     ctx = make_context("HQ", d_desc=("inner", HQ.i))
-    minpoly, member = _class_minpoly_and_membership(ctx, ctx.j, ctx.i)
+    minpoly = class_minimal_polynomial(ctx, ctx.j)
     assert str(minpoly) == "t^2 + [-2i]*t + [1]"
     assert ctx.is_zero(evaluate(minpoly, ctx.j))
     # every conjugate x(j - i)x^-1 + i differs from i
-    assert not member
+    assert not is_right_root(minpoly, ctx.i)
     # so the product is a minimal polynomial and the solution is unique
     rep = class_algebraic_uniqueness(ctx, ctx.j, ctx.i, ctx.one)
     assert rep.ok and rep.uniqueness == UNIQUE and rep.poly_is_w
@@ -293,8 +304,8 @@ def test_hq_class_polynomial_vanishes_on_conjugates():
         ctx = make_context("HQ", d_desc=("inner", d))
         for _ in range(10):
             b = ctx.random_element(rng)
-            minpoly, member = _class_minpoly_and_membership(ctx, b, b)
-            assert member and minpoly.degree in (1, 2)
+            minpoly = class_minimal_polynomial(ctx, b)
+            assert is_right_root(minpoly, b) and minpoly.degree in (1, 2)
             for _ in range(3):
                 x = conjugate(ctx, b, ctx.random_element(rng, nonzero=True))
                 assert ctx.is_zero(evaluate(minpoly, x))
@@ -304,7 +315,7 @@ def test_hq_class_polynomial_without_derivation_is_trace_and_norm():
     rng = rng_for("hq-class", 2)
     for _ in range(100):
         b = HQ.random_element(rng)
-        minpoly, _ = _class_minpoly_and_membership(HQ, b, HQ.zero)
+        minpoly = class_minimal_polynomial(HQ, b)
         if b.is_central():
             assert minpoly == SkewPolynomial.linear(HQ, b)
         else:

@@ -1,19 +1,20 @@
 """Recognition of minimal polynomials and the supporting theorems."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from helpers import (backend_contexts, random_poly, random_set, rng_for,
-                     simple_element)
+from helpers import (backend_contexts, planted_w_polynomials, random_poly,
+                     random_set, rng_for, simple_element)
 from wpoly import wedderburn
-from wpoly.algsets import minimal_polynomial, rank
+from wpoly.algsets import class_minimal_polynomial, minimal_polynomial, rank
 from wpoly.errors import (CapabilityMissingError, DisjointnessError,
                           DomainRequiredError, NotPIndependentError,
                           NotSplitError)
 from wpoly.evaluate import (conjugacy_class_reps, conjugate, evaluate,
-                            is_left_root)
-from wpoly.parsing import parse_polynomial
+                            is_left_root, is_right_root)
+from wpoly.parsing import parse_elements, parse_polynomial
 from wpoly.rings import make_context
 from wpoly.skew import SkewPolynomial, monic_polynomials, product_of_linears
 from wpoly.wedderburn import (IS_W, NOT_W, centralizer,
@@ -111,6 +112,45 @@ def test_finite_field_frobenius_square():
     assert cert.is_w and cert.recheck()
 
 
+PLANTED = {**BACKENDS,
+           "HQ-inner": make_context("HQ", d_desc=("inner", BACKENDS["HQ"].i)),
+           "Qx-id": make_context("Qx", s_desc=("id",))}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="sympy's Riccati solver misses a rational root "
+        "and the verdict is NOT_W (ROADMAP item 7(c1))"))
+    if name == "Qu" else name for name in sorted(PLANTED)])
+def test_planted_minimal_polynomials_are_recognized(name):
+    # f = f_delta is W by definition and delta lies in V(f): no NOT_W, and
+    # every element of delta is listed, is the root of a listed class of
+    # dimension 1, or lies in a listed infinite class; NOT_SPLIT is an
+    # honest refusal, and the only answer for S = x -> x^2
+    ctx = PLANTED[name]
+    if name == "Qu":  # the ROADMAP Baseline reproducer
+        delta = parse_elements("3, -2/u", ctx)
+        cases = [(minimal_polynomial(ctx, delta).poly, delta)]
+    else:
+        cases = planted_w_polynomials(ctx, rng_for("planted", name), 12,
+                                      2 if ctx.kind == "QV" else 3)
+    counts = Counter()
+    for f, delta in cases:
+        try:
+            cert, report = is_wedderburn(f), right_root_report(f)
+        except NotSplitError:
+            counts["NOT_SPLIT"] += 1
+            continue
+        counts[cert.verdict] += 1
+        assert cert.verdict == IS_W and cert.recheck(), (f, delta)
+        for x in delta:
+            assert x in report.roots or any(
+                x == c.sample_root() if c.finite else
+                is_right_root(class_minimal_polynomial(ctx, c.rep), x)
+                for c in report.classes), (f, x)
+    assert (set(counts) == {"NOT_SPLIT"}) == (name == "Qx"), counts
+
+
 # ---------------------------------------------------------------------------
 # exponential spaces
 
@@ -119,7 +159,6 @@ def test_exponential_space_dimensions_quaternion():
     f = SkewPolynomial(hq, (hq.one, hq.zero, hq.one))
     space = exponential_space(f, hq.i)
     assert space.dimension == 2
-    assert len(space.centralizer_basis) == 2
     g = SkewPolynomial.linear(hq, hq.i)
     assert exponential_space(g, hq.i).dimension == 1
     # j is conjugate to i (equal trace and norm), so it contributes too
@@ -134,10 +173,9 @@ def test_exponential_space_membership():
     for _ in range(10):
         f = random_poly(ctx, rng, 3, monic=True, min_deg=1)
         for a in conjugacy_class_reps(ctx):
-            space = exponential_space(f, a)
-            for x in space.base_kernel:
-                if not ctx.is_zero(x):
-                    assert ctx.is_zero(evaluate(f, conjugate(ctx, a, x)))
+            for x in exponential_space(f, a).basis:
+                for c in centralizer(ctx, a):
+                    assert ctx.is_zero(evaluate(f, conjugate(ctx, a, x * c)))
 
 
 def test_dimension_sum_equals_degree_iff_w():
@@ -284,7 +322,7 @@ def test_left_roots_over_qu_list_u():
 
 def test_inner_transport_matches_enumeration_over_f4_and_f8():
     # finite contexts enumerate in the D context itself; the transport to
-    # the D = 0 twin must list the same right and left roots
+    # the D = 0 twin must list the same right roots
     for name, s_descs, max_deg in (("F4", (("frob", 1),), 3),
                                    ("F8", (("frob", 1), ("frob", 2)), 2)):
         for s_desc in s_descs:
@@ -293,9 +331,8 @@ def test_inner_transport_matches_enumeration_over_f4_and_f8():
                 ctx = make_context(name, s_desc=s_desc, d_desc=("inner", d))
                 for deg in range(1, max_deg + 1):
                     for f in monic_polynomials(ctx, deg):
-                        for report in (right_root_report, left_root_report):
-                            moved = wedderburn._inner_transport(report, f)
-                            assert moved.roots == report(f).roots, (f, report)
+                        moved = wedderburn._inner_transport(f)
+                        assert moved.roots == right_root_report(f).roots, f
 
 
 def _small_quaternion(ctx, rng, nonzero=False):
@@ -308,13 +345,15 @@ def _small_quaternion(ctx, rng, nonzero=False):
 def test_inner_transport_commutes_with_quaternion_automorphisms():
     # x -> q x q^-1 sends HQ[t; inner(d)] onto HQ[t; inner(q d q^-1)]
     # coefficientwise, so roots, class dimensions, central polynomials and
-    # verdicts correspond
+    # verdicts correspond; the last ten inputs, d = 0, run the plain engine
     rng = rng_for("hq-inner-model", 0)
     hq = BACKENDS["HQ"]
-    for _ in range(30):
+    for n in range(40):
         d = _small_quaternion(hq, rng)
         if d.is_central():
             d = d + hq.j
+        if n >= 30:
+            d = hq.zero
         q = _small_quaternion(hq, rng, nonzero=True)
         phi = lambda x: q * x * q.inverse()
         ctx = make_context("HQ", d_desc=("inner", d))
