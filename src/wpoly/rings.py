@@ -706,7 +706,7 @@ class Quaternion:
 # contexts
 
 class DivisionRingContext:
-    """A coefficient division ring together with (S, D).
+    """A coefficient division ring with its twist (S, D).
 
     Subclasses fill in the ring-specific pieces; shared capability flags and
     derivation dispatch live here.  Contexts compare equal by configuration,

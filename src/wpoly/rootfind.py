@@ -1,15 +1,14 @@
 """Exact right-root search engines for the infinite coefficient rings.
 
 Four machines live here: rational roots over Q, read off the linear
-factors of the exact factorization over Z; bivariate factorization for
-untwisted rational-function rings; a Riccati solver for quadratics twisted
-by d/dx; and the quaternion class machinery (norm polynomial, its central
-factors of degree <= 2 from the same factorization over Z, class
-representatives from sum-of-squares decompositions).
+factors of the exact factorization over Z; bivariate factorization over Z
+for untwisted rational-function rings; a Riccati solver for quadratics
+twisted by d/dx; and the quaternion class machinery (norm polynomial, its
+central factors of degree <= 2 from the same factorization over Z, class
+representatives from a bounded search for sums of squares).
 
-sympy is imported inside the functions that call it, so it loads only
-when a root engine over Q, HQ, Q(x) or Q(u) runs; the finite rings and
-the arithmetic commands start without it.
+sympy loads only when a root engine over Q, HQ, Q(x) or Q(u) runs, and it
+sees only integer polynomials to factor and the Riccati solver's data.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import NotSplitError
-from .rings import Quaternion, RatFunc, _qp_to_int, qp_trim
+from .rings import (Quaternion, RatFunc, _ip_exact_div, _qp_to_int,
+                    _rf_signed, ip_gcd, ip_mul, qp_trim)
 from .skew import SkewPolynomial
 
 
@@ -47,61 +47,45 @@ def _rf_to_sympy(a, x):
     """a with its denominator made monic, as a sympy expression in x."""
     import sympy
 
-    lc = a.iden[-1]
-    num, den = (sum((sympy.Rational(c, lc) * x**i for i, c in enumerate(p)),
-                    sympy.Integer(0)) for p in (a.inum, a.iden))
+    num, den = (sympy.Poly(p[::-1], x, domain="QQ").as_expr()
+                for p in (a.num, a.den))
     return num / den
 
 
 def _sympy_to_rf(expr, x, var):
-    """Convert a sympy expression to RatFunc; None if not rational over Q."""
+    """expr as a RatFunc in var; None unless it is rational in x over Q."""
     import sympy
 
-    expr = sympy.cancel(sympy.together(expr))
-    num, den = expr.as_numer_denom()
     try:
-        pn = sympy.Poly(num, x)
-        pd = sympy.Poly(den, x)
-    except sympy.PolynomialError:
+        num, den = (sympy.Poly(p, x, domain="QQ").all_coeffs()[::-1]
+                    for p in sympy.fraction(sympy.cancel(expr)))
+    except sympy.polys.polyerrors.BasePolynomialError:
         return None
-    def grab(poly):
-        out = []
-        for c in reversed(poly.all_coeffs()):
-            c = sympy.nsimplify(c)
-            if not c.is_rational:
-                return None
-            c = sympy.Rational(c)
-            out.append(Fraction(int(c.p), int(c.q)))
-        return out
-    cn, cd = grab(pn), grab(pd)
-    if cn is None or cd is None:
-        return None
-    return RatFunc(cn, cd, var)
+    return RatFunc(num, den, var)
 
 
 def ratfunc_classical_roots(ctx, f):
     """Right roots over an untwisted rational-function ring (S = id, D = 0).
 
-    Classical commutative case: clear denominators and read the roots off
-    the linear-in-t factors of the resulting bivariate polynomial.
+    Classical commutative case: f times the lcm of its denominators is an
+    integer polynomial in (t, x); each irreducible factor a1*t + a0 over Z
+    gives the root -a0/a1, in lowest terms as the factor is primitive.
     """
     import sympy
 
-    x, tv = sympy.symbols("x_ t_")
-    expr = sympy.Integer(0)
-    for i, c in enumerate(f.coeffs):
-        expr += _rf_to_sympy(c, x) * tv**i
-    expr = sympy.together(expr)
-    num, _ = expr.as_numer_denom()
+    lcd = (1,)
+    for c in f.coeffs:
+        lcd = ip_mul(lcd, ip_gcd(lcd, c.iden)[2])
+    terms = {(i, j): v for i, c in enumerate(f.coeffs)
+             for j, v in enumerate(ip_mul(c.inum, _ip_exact_div(lcd, c.iden)))}
+    _, factors = sympy.Poly.from_dict(terms, sympy.symbols("t_ x_"),
+                                      domain="ZZ").factor_list()
     roots = set()
-    for fac, _mult in sympy.factor_list(sympy.expand(num), tv, x)[1]:
-        poly = sympy.Poly(fac, tv)
-        if poly.degree() != 1:
-            continue
-        a1, a0 = poly.all_coeffs()
-        cand = _sympy_to_rf(-a0 / a1, x, ctx.variable)
-        if cand is not None:
-            roots.add(cand)
+    for fac, _mult in factors:
+        if fac.degree() == 1:
+            a1, a0 = (tuple(int(v) for v in reversed(c))
+                      for c in fac.rep.to_list())
+            roots.add(_rf_signed(tuple(-v for v in a0), a1, ctx.variable))
     return sorted(roots, key=ctx.sort_key)
 
 
@@ -228,34 +212,39 @@ def central_factor_candidates(ncoeffs):
     return found
 
 
+def _least_squares(n, k, low):
+    """The lexicographically least ascending k-tuple of integers >= low
+    whose squares sum to n > 0, or None."""
+    if k == 1:
+        s = isqrt(n)
+        return (s,) if s >= low and s * s == n else None
+    for a in range(low, isqrt(n // k) + 1):
+        rest = _least_squares(n - a * a, k - 1, a)
+        if rest:
+            return (a,) + rest
+    return None
+
+
 def quaternion_class_rep(p, q):
     """Deterministic representative of the conjugacy class with central
     minimal polynomial t^2 - p*t + q, or None when the class is empty.
 
-    The pure part squares to -(q - p^2/4); it is placed on as few of the
-    i, j, k axes as a rational sum-of-squares decomposition allows, filled
-    in ascending order.
+    The pure part squares to -(q - p^2/4) = -n/den^2; its i, j, k parts
+    are v/den for the least ascending tuple v of as few positive integers
+    as possible whose squares sum to n.  Squares are 0 or 1 mod 4, so the
+    tuples of 4n are those of n doubled; n = 8b + 7 has none (Legendre).
     """
-    from sympy.solvers.diophantine.diophantine import sum_of_squares
-
     m = q - p * p / 4
     if m <= 0:
         return None
-    num, den = m.numerator, m.denominator
-    n = num * den
-    half = p / 2
-    s = isqrt(n)
-    if s * s == n:
-        return Quaternion(half, Fraction(s, den), 0, 0)
-    two = sorted(sum_of_squares(n, 2))
-    if two:
-        a, b = two[0]
-        return Quaternion(half, Fraction(a, den), Fraction(b, den), 0)
-    three = sorted(sum_of_squares(n, 3))
-    if three:
-        a, b, c = three[0]
-        return Quaternion(half, Fraction(a, den), Fraction(b, den), Fraction(c, den))
-    return None
+    den = m.denominator
+    n, scale = m.numerator * den, 1
+    while n % 4 == 0:
+        n, scale = n // 4, 2 * scale
+    if n % 8 == 7:
+        return None
+    v = next(filter(None, (_least_squares(n, k, 1) for k in (1, 2, 3))))
+    return Quaternion(p / 2, *(Fraction(scale * c, den) for c in v))
 
 
 def quaternion_candidate_classes(f):

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import backend_contexts, rng_for
+from helpers import backend_contexts, rng_for, simple_element
 from wpoly import rootfind
 from wpoly.evaluate import evaluate, right_roots
 from wpoly.rootfind import (central_factor_candidates,
@@ -17,7 +17,7 @@ from wpoly.rootfind import (central_factor_candidates,
                             quaternion_class_rep, rational_poly_roots,
                             ratfunc_classical_roots)
 from wpoly.parsing import parse_elements, parse_polynomial
-from wpoly.rings import Quaternion, make_context
+from wpoly.rings import Quaternion, RatFunc, make_context
 from wpoly.skew import SkewPolynomial, product_of_linears
 from wpoly.wedderburn import IS_W, is_wedderburn, right_root_report
 
@@ -111,6 +111,43 @@ def test_ratfunc_classical_roots():
         assert ctx.is_zero(evaluate(f, a))
     g = SkewPolynomial(ctx, (ctx.one, ctx.zero, ctx.one))  # t^2 + 1
     assert ratfunc_classical_roots(ctx, g) == []
+
+
+def test_ratfunc_classical_roots_known_answers():
+    # seeded products of 1-3 factors t - r_i, every other one times t^2 - x,
+    # which has no root in Q(x): the roots are exactly the distinct r_i
+    ctx = make_context("Qx", s_desc=("id",))
+    no_root = SkewPolynomial(ctx, (-ctx.x, ctx.zero, ctx.one))
+    rng = rng_for("qx-known-roots", 1)
+    seen = set()
+    for n in range(60):
+        roots = [simple_element(ctx, rng) for _ in range(rng.randint(1, 3))]
+        f = product_of_linears(ctx, roots)
+        if n % 2:
+            f = f * no_root
+        assert ratfunc_classical_roots(ctx, f) == sorted(
+            set(roots), key=ctx.sort_key), str(f)
+        if len(set(roots)) < len(roots):
+            seen.add("repeated")
+        if any(len(r.iden) > 1 for r in roots):
+            seen.add("denominator")
+    assert seen == {"repeated", "denominator"}
+
+
+def test_sympy_bridges():
+    x, c1 = sympy.symbols("x_ C1")
+    for expr in (sympy.sqrt(2) * x, sympy.exp(x), c1 * x, sympy.zoo):
+        assert rootfind._sympy_to_rf(expr, x, "u") is None
+    assert rootfind._sympy_to_rf(x / (2 * x + 2), x, "u") == RatFunc(
+        [0, 1], [2, 2], "u")
+    assert rootfind._sympy_to_rf((x**2 + x) / (2 * x + 2), x, "u") == RatFunc(
+        [0, Fraction(1, 2)], [1], "u")
+    qu = BACKENDS["Qu"]
+    rng = rng_for("bridges", 3)
+    for _ in range(200):
+        a = qu.random_element(rng)
+        assert rootfind._sympy_to_rf(rootfind._rf_to_sympy(a, x), x,
+                                     qu.variable) == a
 
 
 def test_derivation_quadratic_roots():
@@ -254,6 +291,34 @@ def test_quaternion_class_reps():
     # 7 is not a sum of <= 3 rational squares... it is (4+1+1+1 needs 4);
     # the class of t^2 + 7 is realized over HQ only if 7 = sum of 3 squares
     assert quaternion_class_rep(f(0), f(7)) is None
+
+
+def test_quaternion_class_rep_matches_sum_of_squares():
+    # the representative's pure part is v/den for the least ascending tuple
+    # v of as few positive integers as possible with squares summing to
+    # num*den, which sympy's sum_of_squares lists
+    from sympy.solvers.diophantine.diophantine import sum_of_squares
+
+    def oracle(m):
+        n = m.numerator * m.denominator
+        for k in (1, 2, 3):
+            reps = sorted(sum_of_squares(n, k))
+            if reps:
+                return Quaternion(0, *(Fraction(v, m.denominator)
+                                       for v in reps[0]))
+        return None
+
+    rng = rng_for("class-reps", 5)
+    ms = [Fraction(n) for n in range(1, 1001)]
+    ms += [Fraction(rng.randint(1, 200000)) for _ in range(100)]
+    ms += [Fraction(n, d) for n, d in ((3, 4), (7, 4), (5, 9), (1, 12),
+                                       (28, 3), (13, 50), (7, 16))]
+    for m in ms:
+        assert quaternion_class_rep(Fraction(0), m) == oracle(m), m
+    assert quaternion_class_rep(Fraction(0), Fraction(28)) is None
+    assert quaternion_class_rep(Fraction(0), Fraction(7 * 4**7)) is None
+    assert (quaternion_class_rep(Fraction(0), Fraction(4**8 * 3))
+            == Quaternion(0, 256, 256, 256))
 
 
 def test_quaternion_candidate_classes_cover_roots():
