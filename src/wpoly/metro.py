@@ -180,8 +180,9 @@ def solve_metro(problem: MetroProblem) -> MetroSolutionReport:
     field solve one exact linear system, where uniqueness is equivalent to
     a trivial kernel; over Q(u) with d/du one exact linear system over Q
     holds every rational solution (``_solve_differential``), so the answer
-    is NO_SOLUTION, UNIQUE or MULTIPLE there too.  Anything else is
-    reported UNDECIDED rather than guessed.
+    is NO_SOLUTION, UNIQUE or MULTIPLE there too; over Q(x) with S = id,
+    D = 0 ``direct`` solves the 1x1 system (a - b)x = c over K.  Anything
+    else is reported UNDECIDED rather than guessed.
     """
     ctx = problem.ctx
     report = None
@@ -189,18 +190,11 @@ def solve_metro(problem: MetroProblem) -> MetroSolutionReport:
         report = _solve_enumerate(problem)
     elif ctx.base_dim:
         report = _solve_base_linear(problem)
-    elif ctx.commutative and ctx.s_desc[0] == "id":
-        if ctx.d_desc[0] == "zero":
-            diff = problem.a - problem.b
-            if ctx.is_zero(diff):
-                report = MetroSolutionReport(problem, NO_SOLUTION,
-                                             strategy="direct")
-            else:
-                x = ctx.inv(diff) * problem.c
-                report = MetroSolutionReport(problem, SOLUTION, x, UNIQUE,
-                                             strategy="direct")
-        elif ctx.d_desc[0] == "ddx":
-            report = _solve_differential(problem)
+    elif ctx.d_desc[0] == "ddx":
+        report = _solve_differential(problem)
+    elif ctx.s_desc[0] == "id" and ctx.d_desc[0] == "zero":
+        report = _linear_report(problem, [[problem.a - problem.b, -problem.c]],
+                                ctx.one, lambda v: v[0], "direct")
     if report is None:
         report = MetroSolutionReport(
             problem, UNDECIDED,

@@ -69,7 +69,7 @@ def _tokenize(text):
 def _atoms_for(ctx):
     kind = ctx.kind
     if kind == "GF":
-        return {"w": ctx.w}
+        return {"w": ctx.w} if ctx.k > 1 else {}
     if kind == "QV":
         return {ctx.variable: ctx.x}
     if kind == "HQ":

@@ -200,25 +200,18 @@ def _term_str(coeff, var, power):
     return f"{coeff}{v}"
 
 
+def _signed_sum(terms):
+    """Term strings joined by '+', a term's own leading '-' standing for
+    its sign; '0' when there are none."""
+    out = ""
+    for s in terms:
+        out += s if not out or s.startswith("-") else "+" + s
+    return out or "0"
+
+
 def qp_str(a, var):
-    if not a:
-        return "0"
-    parts = []
-    for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        s = _term_str(c, var, i)
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append("-" + s[1:])
-        else:
-            parts.append("+" + s)
-    out = parts[0]
-    for p in parts[1:]:
-        out += p
-    return out
+    return _signed_sum(_term_str(a[i], var, i)
+                       for i in range(len(a) - 1, -1, -1) if a[i])
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +308,6 @@ class RatFunc:
         if other.var != self.var:
             raise ContextMismatchError("rational functions in different variables")
         return other
-
-    def is_zero(self):
-        return not self.inum
 
     def __bool__(self):
         return bool(self.inum)
@@ -548,9 +538,6 @@ class FFElement:
             raise ZeroDivisionError("inverse of zero field element")
         return self.field.inv[self.code]
 
-    def is_zero(self):
-        return self.code == 0
-
     def __bool__(self):
         return self.code != 0
 
@@ -559,15 +546,8 @@ class FFElement:
 
     def __str__(self):
         digits = self.field.decode(self.code)
-        if not any(digits):
-            return "0"
-        parts = []
-        for i in range(len(digits) - 1, -1, -1):
-            if digits[i] == 0:
-                continue
-            s = _term_str(digits[i], "w", i)
-            parts.append(("+" + s) if parts and not s.startswith("-") else s)
-        return "".join(parts)
+        return _signed_sum(_term_str(digits[i], "w", i)
+                           for i in range(len(digits) - 1, -1, -1) if digits[i])
 
     __repr__ = __str__
 
@@ -665,9 +645,6 @@ class Quaternion:
         return _quat(*_lowest((a * m, -b * m, -c * m, -d * m),
                               self.den * n.numerator))
 
-    def is_zero(self):
-        return not any(self.nums)
-
     def __bool__(self):
         return any(self.nums)
 
@@ -688,16 +665,8 @@ class Quaternion:
         return hash((self.nums, self.den))
 
     def __str__(self):
-        parts = []
-        for coeff, unit in zip(self.components(), ("", "i", "j", "k")):
-            if coeff == 0:
-                continue
-            if unit:
-                s = _term_str(coeff, unit, 1)
-            else:
-                s = str(coeff)
-            parts.append(("+" + s) if parts and not s.startswith("-") else s)
-        return "".join(parts) if parts else "0"
+        return _signed_sum(_term_str(c, u, 1 if u else 0) for c, u
+                           in zip(self.components(), ("", "i", "j", "k")) if c)
 
     __repr__ = __str__
 

@@ -58,7 +58,8 @@ def centralizer(ctx, a):
 class ClassRootSet:
     """A right basis over the centralizer of rep of the exponential space
     E(f, rep), whose nonzero x give the roots rep^x of f in the class of
-    rep; central_poly is the root engine's tag of the class, if any."""
+    rep; central_poly is the quaternion engine's tag ('lin', a) for t - a or
+    ('quad', p, q) for t^2 - p*t + q, and None on a transported class."""
 
     ctx: object
     rep: object
@@ -171,7 +172,8 @@ def _inner_transport(f) -> RootReport:
     ctx, twin, d = f.ctx, f.ctx.twin, f.ctx.d_desc[1]
     return _transport(f, twin, lambda a: a, (d, twin.one), False,
                       lambda r: r + d,
-                      lambda c: replace(c, ctx=ctx, rep=c.rep + d))
+                      lambda c: replace(c, ctx=ctx, rep=c.rep + d,
+                                        central_poly=None))
 
 
 def right_root_report(f) -> RootReport:
@@ -468,8 +470,8 @@ def left_root_report(f) -> RootReport:
     psi: a -> conj(a), t -> -t is an anti-isomorphism onto the opposite ring
     K[t; S^-1, D o S^-1] (Ore 1933) with psi((t - b)g) = -psi(g)(t + conj(b)),
     so b is a left root of f iff -conj(b) is a right root of psi(f).  A class
-    (a, x) moves to (-conj(a), conj(x)^-1) with its central tag's linear term
-    negated, as -conj(a^x) = (-conj(a))^(conj(x)^-1).  Raises
+    (a, x) moves to (-conj(a), conj(x)^-1), as
+    -conj(a^x) = (-conj(a))^(conj(x)^-1).  Raises
     CapabilityMissingError where S has no inverse.
     """
     if f.is_zero():
@@ -477,10 +479,9 @@ def left_root_report(f) -> RootReport:
     ctx, op = f.ctx, f.ctx.opposite
 
     def moved(c):
-        tag = c.central_poly
         return replace(c, ctx=ctx, rep=-ctx.conj(c.rep),
                        basis=tuple(ctx.inv(ctx.conj(x)) for x in c.basis),
-                       central_poly=(tag[0], -tag[1]) + tag[2:])
+                       central_poly=None)
     return _transport(f, op, ctx.conj, (op.zero, -op.one), True,
                       lambda r: -ctx.conj(r), moved)
 

@@ -67,7 +67,7 @@ def test_quaternion_infinite_classes_are_w():
             a = small()
             for _ in range(rng.randint(1, 2)):
                 c = small()
-                if not c.is_zero():
+                if c:
                     x = conjugate(hq, a, c)
                     if not any(x == y for y in elems):
                         elems.append(x)
@@ -295,6 +295,32 @@ def test_left_roots_and_class_samples_of_quaternions_left_divide():
                           *(c.sample_root() for c in report.classes)):
                     assert is_left_root(f, b), (ctx, f, b)
         assert infinite
+
+
+def test_class_tags_only_where_the_quaternion_engine_ran():
+    # a right report over HQ with D = 0 tags each class with its rep's
+    # central minimal polynomial, which perfbench's HQ probe compares; the
+    # left report and the inner(i) report run in another ring and carry None
+    hq = BACKENDS["HQ"]
+    hqi = make_context("HQ", d_desc=("inner", hq.i))
+    rng = rng_for("hq-class-tags", 0)
+    kinds = Counter()
+    for n in range(12):
+        roots = [_small_quaternion(hq, rng) for _ in range(rng.randint(1, 3))]
+        if n % 2:
+            roots[0] = hq.from_int(rng.randint(-2, 2))
+        f, g = product_of_linears(hq, roots), product_of_linears(hqi, roots)
+        for c in right_root_report(f).classes:
+            a = c.rep
+            want = (("lin", a.components()[0]) if a.is_central()
+                    else ("quad", a.trace(), a.norm()))
+            assert c.central_poly == want, (roots, a)
+            kinds[want[0]] += 1
+        for report in (left_root_report(f), right_root_report(g),
+                       left_root_report(g)):
+            assert report.classes
+            assert all(c.central_poly is None for c in report.classes)
+    assert kinds["lin"] and kinds["quad"]
 
 
 def test_left_roots_over_qu_left_divide():
